@@ -31,20 +31,20 @@ def _g6_decode_order(s: str) -> tuple[int, int]:
     if not s:
         raise FormatError("empty graph6 string")
     if s[0] != "~":
-        return ord(s[0]) - 63, 1
-    if len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise FormatError("truncated graph6 order")
-        n = 0
-        for ch in s[1:4]:
-            n = n << 6 | (ord(ch) - 63)
-        return n, 4
-    if len(s) < 8:
+        width, skip = 1, 0
+    elif len(s) >= 2 and s[1] != "~":
+        width, skip = 3, 1
+    else:
+        width, skip = 6, 2
+    digits = s[skip:skip + width]
+    if len(digits) < width:
         raise FormatError("truncated graph6 order")
     n = 0
-    for ch in s[2:8]:
+    for ch in digits:
+        if not 63 <= ord(ch) <= 126:
+            raise FormatError(f"bad graph6 character {ch!r}")
         n = n << 6 | (ord(ch) - 63)
-    return n, 8
+    return n, skip + width
 
 
 def to_graph6(g: Graph) -> str:

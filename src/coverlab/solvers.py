@@ -8,12 +8,12 @@ found together with ``optimal=False`` and a valid lower bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BadInput, Disconnected, EmptyPiece
-from .graph import (Graph, PieceKind, bits, distances_from, is_independent,
-                    mask_of, piece_shape_mask)
+from .errors import BadInput, Disconnected
+from .graph import (Graph, PieceKind, bfs_layering, bits, distances_from,
+                    is_connected, mask_of, piece_shape_mask)
 from . import generators as gen
 
 # invariant name -> (piece kind, mode)
@@ -79,14 +79,16 @@ def _independent_subsets(g: Graph, within: int):
 
 
 def _maximal_independent_sets(g: Graph, within: int):
-    """Bron-Kerbosch on the subgraph induced by `within`."""
+    """Bron-Kerbosch on the subgraph induced by `within`, with a pivot."""
     out = []
 
     def bk(r: int, p: int, x: int):
         if not p and not x:
             out.append(r)
             return
-        for v in list(bits(p)):
+        # a set avoiding the pivot u and its neighbours could still take u
+        u = min(bits(p | x), key=lambda w: (p & (g.adj[w] | 1 << w)).bit_count())
+        for v in list(bits(p & (g.adj[u] | 1 << u))):
             p &= ~(1 << v)
             keep = ~g.adj[v] & ~(1 << v)
             bk(r | 1 << v, p & keep, x & keep)
@@ -96,31 +98,56 @@ def _maximal_independent_sets(g: Graph, within: int):
     return out
 
 
-def _star_masks_maximal(g: Graph, within: int) -> set[int]:
-    """Centers with a maximal independent leaf set in their neighborhood."""
+def _maximal_stars(g: Graph) -> set[int]:
+    """Maximal induced stars: a centre plus a maximal independent set of
+    its neighbourhood.
+
+    Only a 2-vertex star {c, l} can lie in another star: one centred at l,
+    when l has a neighbour outside N[c].
+    """
     out: set[int] = set()
-    for c in bits(within):
-        nb = g.adj[c] & within
-        if not nb:
-            out.add(1 << c)
-            continue
-        for leaves in _maximal_independent_sets(g, nb):
+    for c in range(g.order):
+        closed = g.adj[c] | 1 << c
+        for leaves in _maximal_independent_sets(g, g.adj[c]):
+            if leaves.bit_count() == 1 and g.adj[leaves.bit_length() - 1] & ~closed:
+                continue
             out.add(1 << c | leaves)
     return out
 
 
-def _path_masks(g: Graph, within: int) -> set[int]:
-    """Vertex sets of all induced paths inside `within` (incl. singletons)."""
-    out: set[int] = set()
+def _maximal_paths(g: Graph, isometric: bool) -> list[int]:
+    """Inclusion-maximal induced (or isometric) paths, each once.
 
-    def extend(last: int, mask: int):
-        out.add(mask)
-        for w in bits(g.adj[last] & within & ~mask):
-            if g.adj[w] & mask == 1 << last:
-                extend(w, mask | 1 << w)
-
-    for v in bits(within):
-        extend(v, 1 << v)
+    A path lies in a larger one of its kind only as a contiguous segment,
+    so it is maximal when it extends at neither end.  The search from
+    `start` grows the path at `last` and keeps a leaf that does not extend
+    at `start` either, from its smaller end.  An induced path extends at
+    `last` by a neighbour outside `mask | near`, and at `start` by one
+    outside `mask | far`, where `near` and `far` are the neighbours of the
+    path without `last` and without `start`.  An isometric path of k
+    vertices extends by a neighbour at distance k from the other end.
+    """
+    adj = g.adj
+    # ring[v][d]: the vertices at distance d from v; empty past the last layer
+    ring = [[mask_of(layer) for layer in bfs_layering(g, v).layers] + [0]
+            for v in range(g.order)] if isometric else None
+    out = []
+    for start in range(g.order):
+        stack = [(start, 1 << start, 0, 0)]
+        while stack:
+            last, mask, near, far = stack.pop()
+            if isometric:
+                k = mask.bit_count()
+                ext, back = adj[last] & ring[start][k], adj[start] & ring[last][k]
+            else:
+                ext, back = adj[last] & ~(mask | near), adj[start] & ~(mask | far)
+            if not ext:
+                if start <= last and not back:
+                    out.append(mask)
+                continue
+            near |= adj[last]
+            for w in bits(ext):
+                stack.append((w, mask | 1 << w, near, far | adj[w]))
     return out
 
 
@@ -128,47 +155,33 @@ def _isometric_filter(g: Graph, path_masks: Iterable[int]) -> set[int]:
     dist_cache: dict[int, tuple] = {}
     out = set()
     for mask in path_masks:
-        if mask & (mask - 1) == 0:
-            out.add(mask)
-            continue
-        ends = [v for v in bits(mask)
-                if (g.adj[v] & mask).bit_count() == 1]
-        u = ends[0]
-        if u not in dist_cache:
-            dist_cache[u] = distances_from(g, u)
-        d = dist_cache[u][ends[1]]
-        if d is not None and d == mask.bit_count() - 1:
+        ends = [v for v in bits(mask) if (g.adj[v] & mask).bit_count() <= 1]
+        if ends[0] not in dist_cache:
+            dist_cache[ends[0]] = distances_from(g, ends[0])
+        if dist_cache[ends[0]][ends[-1]] == mask.bit_count() - 1:
             out.add(mask)
     return out
 
 
-def _only_maximal(masks: Iterable[int]) -> list[int]:
-    ordered = sorted(set(masks), key=lambda m: -m.bit_count())
-    kept: list[int] = []
-    for m in ordered:
-        if not any(m & k == m and m != k for k in kept):
-            kept.append(m)
-    return kept
-
-
 def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
-    """All inclusion-maximal piece vertex sets, as bitmasks.
+    """All inclusion-maximal piece vertex sets, as bitmasks sorted by
+    (-size, mask).
 
     For covers only maximal pieces matter: any cover piece may be grown
     to a maximal one without breaking the cover.
     """
-    full = g.full_mask
     if kind is PieceKind.STAR:
-        cand = _star_masks_maximal(g, full)
-    elif kind is PieceKind.PATH:
-        cand = _path_masks(g, full)
-    elif kind is PieceKind.ISOMETRIC_PATH:
-        cand = _isometric_filter(g, _path_masks(g, full))
+        cand = _maximal_stars(g)
+    elif kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH:
+        cand = _maximal_paths(g, kind is PieceKind.ISOMETRIC_PATH)
     elif kind is PieceKind.SP_ANY:
-        cand = _star_masks_maximal(g, full) | _path_masks(g, full)
+        # K_1, K_2 and P_3 are of both shapes: keep them if maximal as each
+        stars, paths = _maximal_stars(g), set(_maximal_paths(g, False))
+        cand = {m for m in stars | paths
+                if m.bit_count() > 3 or (m in stars and m in paths)}
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return _only_maximal(cand)
+    return sorted(cand, key=lambda m: (-m.bit_count(), m))
 
 
 def _star_masks_at(g: Graph, within: int, v: int) -> set[int]:
@@ -246,23 +259,14 @@ def _greedy_cover(g: Graph, pieces: list[int]) -> list[int]:
     return out
 
 
-def _cert(g: Graph, kind: PieceKind, mode: str, masks: list[int],
-          optimal: bool, lower: int) -> PieceCertificate:
-    pieces = tuple(tuple(bits(m)) for m in masks)
-    return PieceCertificate(kind, mode, pieces, optimal, lower)
+def _search(g: Graph, kind: PieceKind, mode: str, branch, max_size: int,
+            incumbent: list[int], deadline: _Deadline) -> PieceCertificate:
+    """Memoized branch and bound over the set u of vertices left to take.
 
-
-def min_cover(g: Graph, kind: PieceKind,
-              config: SolveConfig = SolveConfig()) -> PieceCertificate:
-    """Minimum number of pieces whose union is V(G), pieces may overlap."""
-    if g.order == 0:
-        return PieceCertificate(kind, "cover", (), True, 0)
-    pieces = enumerate_maximal_pieces(g, kind)
-    max_size = max(m.bit_count() for m in pieces)
-    incumbent = _greedy_cover(g, pieces)
-    deadline = _Deadline(config.timeout)
+    `branch(u)` lists the pieces to try next.  On timeout the result is
+    the incumbent with the bound ceil(n / max_size).
+    """
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
-    by_vertex = {v: [m for m in pieces if m >> v & 1] for v in range(g.order)}
 
     def solve(u: int) -> tuple[int, tuple[int, ...]]:
         if not u:
@@ -271,10 +275,8 @@ def min_cover(g: Graph, kind: PieceKind,
             return memo[u]
         if deadline.expired():
             raise _TimeUp()
-        # branch on the uncovered vertex with fewest candidate pieces
-        v = min(bits(u), key=lambda w: len(by_vertex[w]))
         best: Optional[tuple[int, tuple[int, ...]]] = None
-        for m in sorted(by_vertex[v], key=lambda x: -(x & u).bit_count()):
+        for m in branch(u):
             rest = u & ~m
             if best is not None and 1 + -(-rest.bit_count() // max_size) >= best[0]:
                 continue
@@ -285,11 +287,31 @@ def min_cover(g: Graph, kind: PieceKind,
         return best
 
     try:
-        val, seq = solve(g.full_mask)
-        return _cert(g, kind, "cover", list(seq), True, val)
+        val, masks = solve(g.full_mask)
+        optimal = True
     except _TimeUp:
-        lb = -(-g.order // max_size)
-        return _cert(g, kind, "cover", incumbent, False, lb)
+        val, masks, optimal = -(-g.order // max_size), incumbent, False
+    pieces = tuple(tuple(bits(m)) for m in masks)
+    return PieceCertificate(kind, mode, pieces, optimal, val)
+
+
+def min_cover(g: Graph, kind: PieceKind,
+              config: SolveConfig = SolveConfig()) -> PieceCertificate:
+    """Minimum number of pieces whose union is V(G), pieces may overlap."""
+    if g.order == 0:
+        return PieceCertificate(kind, "cover", (), True, 0)
+    deadline = _Deadline(config.timeout)
+    pieces = enumerate_maximal_pieces(g, kind)
+    max_size = max(m.bit_count() for m in pieces)
+    incumbent = _greedy_cover(g, pieces)
+    by_vertex = {v: [m for m in pieces if m >> v & 1] for v in range(g.order)}
+
+    def branch(u: int) -> list[int]:
+        # the uncovered vertex with fewest candidate pieces
+        v = min(bits(u), key=lambda w: len(by_vertex[w]))
+        return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
+
+    return _search(g, kind, "cover", branch, max_size, incumbent, deadline)
 
 
 def min_partition(g: Graph, kind: PieceKind,
@@ -297,35 +319,12 @@ def min_partition(g: Graph, kind: PieceKind,
     """Minimum number of disjoint pieces whose union is V(G)."""
     if g.order == 0:
         return PieceCertificate(kind, "partition", (), True, 0)
-    incumbent = _greedy_partition(g, kind)
     deadline = _Deadline(config.timeout)
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
     max_size = max(m.bit_count() for m in enumerate_maximal_pieces(g, kind))
-
-    def solve(u: int) -> tuple[int, tuple[int, ...]]:
-        if not u:
-            return 0, ()
-        if u in memo:
-            return memo[u]
-        if deadline.expired():
-            raise _TimeUp()
-        v = next(bits(u))
-        best: Optional[tuple[int, tuple[int, ...]]] = None
-        for m in pieces_at(g, u, v, kind):
-            if best is not None and 1 + -(-(u & ~m).bit_count() // max_size) >= best[0]:
-                continue
-            val, seq = solve(u & ~m)
-            if best is None or 1 + val < best[0]:
-                best = (1 + val, (m,) + seq)
-        memo[u] = best
-        return best
-
-    try:
-        val, seq = solve(g.full_mask)
-        return _cert(g, kind, "partition", list(seq), True, val)
-    except _TimeUp:
-        lb = -(-g.order // max_size)
-        return _cert(g, kind, "partition", incumbent, False, lb)
+    incumbent = _greedy_partition(g, kind)
+    return _search(g, kind, "partition",
+                   lambda u: pieces_at(g, u, next(bits(u)), kind),
+                   max_size, incumbent, deadline)
 
 
 def invariant_value(g: Graph, name: str,
@@ -426,7 +425,6 @@ def min_dominating_set(g: Graph) -> list[int]:
     """A minimum dominating set (as a sorted vertex list)."""
     if g.order == 0:
         return []
-    from .graph import is_connected
     if not is_connected(g):
         raise Disconnected("dominating-set subroutine requires a connected graph")
     closed = [g.adj[v] | 1 << v for v in range(g.order)]

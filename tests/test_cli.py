@@ -67,6 +67,14 @@ def test_solve_format_error(tmp_path, capsys):
     assert code == 4
 
 
+def test_solve_bad_graph6_order(tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_text("~!!!\n")
+    code, _, err = run(capsys, "solve", str(path), "--format", "g6")
+    assert code == 4
+    assert "bad graph6 character" in err
+
+
 def test_check_free(tmp_path, capsys):
     p20 = tmp_path / "p20.txt"
     run(capsys, "gen", "p:20", "--out", str(p20))

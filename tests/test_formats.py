@@ -54,6 +54,13 @@ def test_graph6_errors():
         from_graph6("~A")  # truncated order
 
 
+@pytest.mark.parametrize("text", ["!", "~!!!", "~?!?", "~~!!!!!!", "~~?????!"])
+def test_graph6_order_prefix_rejects_bad_characters(text):
+    # each order form (1, 4 and 8 bytes) takes only bytes 63..126
+    with pytest.raises(FormatError, match="bad graph6 character '!'"):
+        from_graph6(text)
+
+
 def test_edge_list_parsing_details():
     g = from_edge_list("# comment\np 3\n0 1 # tail comment\n\n1 2\n")
     assert g.adj == gen.path(3).adj

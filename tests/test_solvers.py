@@ -3,16 +3,18 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coverlab import generators as gen, naive
+from coverlab import generators as gen, naive, solvers
 from coverlab.errors import Disconnected
 from coverlab.graph import (PieceKind, bits, build_graph, is_independent,
-                            mask_of)
+                            mask_of, piece_shape_mask)
 from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
                               chromatic_coloring, chromatic_number,
-                              clique_number, independence_number,
-                              invariant_value, min_cover, min_dominating_set,
-                              min_partition, validate_certificate)
+                              clique_number, enumerate_maximal_pieces,
+                              independence_number, invariant_value, min_cover,
+                              min_dominating_set, min_partition,
+                              validate_certificate)
 
 
 def test_closed_form_complete_graphs():
@@ -91,6 +93,93 @@ def test_timeout_returns_incumbent():
     cert = min_cover(g, PieceKind.SP_ANY, SolveConfig(timeout=0.0))
     assert not cert.optimal
     assert validate_certificate(g, cert)
+
+
+@pytest.mark.parametrize("solve", [min_cover, min_partition])
+def test_timeout_budget_includes_enumeration(monkeypatch, solve):
+    g = gen.random_connected(12, 0.5, random.Random(3))
+    clock = [0.0]
+    late_reads = []  # clock reads after the budget ran out
+
+    def monotonic():
+        if clock[0] > 1.0:
+            late_reads.append(clock[0])
+        return clock[0]
+
+    def slow_enumeration(g, kind, enumerate_pieces=enumerate_maximal_pieces):
+        clock[0] += 10.0  # enumeration alone uses up the budget
+        return enumerate_pieces(g, kind)
+
+    monkeypatch.setattr(solvers.time, "monotonic", monotonic)
+    monkeypatch.setattr(solvers, "enumerate_maximal_pieces", slow_enumeration)
+    cert = solve(g, PieceKind.SP_ANY, SolveConfig(timeout=1.0))
+    # the search stops at its root: one deadline check, no node expanded
+    assert late_reads == [10.0]
+    assert not cert.optimal
+    assert validate_certificate(g, cert)
+    assert cert.lower_bound <= cert.value
+
+
+def brute_maximal_pieces(g, kind):
+    shaped = [m for m in range(1, 1 << g.order) if piece_shape_mask(g, m, kind)]
+    return {m for m in shaped
+            if not any(m & o == m and o != m for o in shaped)}
+
+
+def check_maximal_pieces(g):
+    for kind in PieceKind:
+        got = enumerate_maximal_pieces(g, kind)
+        assert got == sorted(got, key=lambda m: (-m.bit_count(), m))
+        assert len(got) == len(set(got))
+        assert set(got) == brute_maximal_pieces(g, kind), kind
+
+
+def broom(handle, bristles):
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + j) for j in range(bristles)]
+    return build_graph(handle + bristles, edges)
+
+
+def blowup(widths):
+    """Path blow-up: consecutive independent layers joined completely."""
+    starts = [sum(widths[:i]) for i in range(len(widths) + 1)]
+    edges = [(a, b) for i in range(len(widths) - 1)
+             for a in range(starts[i], starts[i + 1])
+             for b in range(starts[i + 1], starts[i + 2])]
+    return build_graph(starts[-1], edges)
+
+
+NAMED_GRAPHS = (
+    [(f"P{n}", gen.path(n)) for n in range(1, 10)]
+    + [(f"C{n}", gen.cycle(n)) for n in range(3, 10)]
+    + [(f"K{n}", gen.complete(n)) for n in range(1, 10)]
+    + [(f"K1,{n}", gen.star(n)) for n in range(1, 9)]
+    + [(f"broom{h},{b}", broom(h, b)) for h in range(1, 8) for b in range(1, 10 - h)]
+    + [("blowup" + "".join(map(str, w)), blowup(w)) for k in range(1, 6)
+       for w in ([1 + (i >> j & 1) for j in range(k)] for i in range(1 << k))
+       if sum(w) <= 9]
+)
+
+
+@pytest.mark.parametrize("g", [g for _, g in NAMED_GRAPHS],
+                         ids=[name for name, _ in NAMED_GRAPHS])
+def test_maximal_pieces_match_brute_force_named(g):
+    check_maximal_pieces(g)
+
+
+@st.composite
+def small_graphs(draw, max_order=9):
+    n = draw(st.integers(1, max_order))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_maximal_pieces_match_brute_force_random(g):
+    check_maximal_pieces(g)
 
 
 def brute_chromatic(g):
