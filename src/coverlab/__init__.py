@@ -10,6 +10,7 @@ Library layout:
 - ``constructive``: proof-shaped constructions with validity traces
 - ``naive``: reference solvers for cross-checking
 - ``formats``: graph6 and edge-list serialization
+- ``verify``: check tables for ``coverlab verify`` and the acceptance gate
 - ``cli``: the ``coverlab`` command
 """
 

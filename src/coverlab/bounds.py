@@ -6,7 +6,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -104,7 +104,7 @@ class SearchBudgetExceeded(Exception):
 
 
 def _good_graph_exists(s: int, t: int, order: int,
-                       deadline: Optional[float], exhaustive: bool) -> Optional[list[int]]:
+                       deadline: Optional[float]) -> Optional[list[int]]:
     """Search for a graph on `order` vertices with no K_s and no I_t.
 
     Returns adjacency rows of a witness, or None after exhausting the
@@ -167,7 +167,7 @@ def ramsey_exact_search(s: int, t: int, max_order: int = 9,
     for order in range(1, max_order + 2):
         if order > max_order:
             raise SearchBudgetExceeded(f"R({s},{t}) > {max_order}")
-        if _good_graph_exists(s, t, order, deadline, exhaustive=True) is None:
+        if _good_graph_exists(s, t, order, deadline) is None:
             return order
     raise SearchBudgetExceeded()
 
@@ -284,10 +284,6 @@ class SymbolicConstant:
 
     def __str__(self):
         return f"{self.constant_term} + {self.coefficient} * {self.symbol}"
-
-
-def _bv_exactish(value: int, status: Status) -> BoundValue:
-    return BoundValue(value, status)
 
 
 def paper_constants(n: int, max_digits: int = 100_000,

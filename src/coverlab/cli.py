@@ -8,19 +8,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import random
 import sys
-from multiprocessing import Pool
 from typing import Optional
 
 from . import bounds as bounds_mod
-from . import constructive, formats, generators as gen, naive, solvers
-from .errors import (BadInput, BadParameter, CoverlabError, Disconnected,
-                     DisconnectedMember, FormatError, FreenessViolated,
-                     IndexOutOfRange, InternalInvariantBroken, ParseError,
-                     PathTooLong, SelfLoop, StarTooLarge)
-from .graph import Graph, PieceKind, is_connected
+from . import constructive, formats, generators as gen, solvers, verify
+from .errors import (BadInput, BadParameter, Disconnected, DisconnectedMember,
+                     FormatError, FreenessViolated, IndexOutOfRange,
+                     InternalInvariantBroken, ParseError, PathTooLong,
+                     SelfLoop, StarTooLarge)
+from .graph import Graph, PieceKind
 from .iso import (INVARIANTS, ForbiddenFamily, characterize, family_leq,
                   freeness_witness, target_family)
 
@@ -77,13 +74,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-_CHAIN_PAIRS = [
-    ("inspc", "insc"), ("insc", "insp"), ("inspp", "insp"),
-    ("inspc", "inpc"), ("inpc", "inpp"), ("inspp", "inpp"),
-    ("inspc", "inspp"), ("inpc", "ispc"), ("inpp", "ispp"),
-]
-
-
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph, args.format)
     names = [s.strip() for s in args.invariants.split(",")]
@@ -111,7 +101,7 @@ def cmd_solve(args) -> int:
             "lower_bound": cert.lower_bound,
             "pieces": [list(p) for p in cert.pieces],
         }
-    for lo, hi in _CHAIN_PAIRS:
+    for lo, hi in verify.CHAIN_PAIRS:
         if lo in values and hi in values:
             report["cross_checks"][f"{lo}<={hi}"] = values[lo] <= values[hi]
     if "inspc" in values:
@@ -199,116 +189,19 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-# -- verification suites -----------------------------------------------
-
-
-def _suite_lemma41():
-    out = []
-    for n in range(2, 9):
-        v = solvers.invariant_value(gen.complete(n), "inspc").value
-        out.append((f"inspc(K_{n}) == {math.ceil(n/2)}", v == math.ceil(n / 2)))
-        v = solvers.invariant_value(gen.s_star(n), "inspc").value
-        out.append((f"inspc(S*_{n}) == {math.ceil(n/2)}", v == math.ceil(n / 2)))
-    for n in range(2, 7):
-        v = solvers.invariant_value(gen.s_tilde(n), "inspp").value
-        out.append((f"inspp(S~_{n}) == {n+1}", v == n + 1))
-    for n in range(2, 11):
-        v = solvers.invariant_value(gen.star(n), "inpc").value
-        out.append((f"inpc(K_1,{n}) == {math.ceil(n/2)}", v == math.ceil(n / 2)))
-    for n in range(2, 13):
-        v = solvers.invariant_value(gen.path(n), "insc").value
-        out.append((f"insc(P_{n}) == {math.ceil(n/3)}", v == math.ceil(n / 3)))
-    return out
-
-
-def _suite_lemma42():
-    out = []
-    for m in (2, 3, 4):
-        for n in (3, 4):
-            checks = [
-                (gen.h1(m, n), "inspc", (m + 1 + 1) // 2),
-                (gen.h2(m, n), "inspc", (m + 1 + 1) // 2),
-                (gen.h3(m, n), "inspc", m),
-                (gen.h4(m, n), "inspp", m),
-                (gen.h5(m, n), "inspp", m),
-            ]
-            for g, inv, lower in checks:
-                v = solvers.invariant_value(g, inv).value
-                out.append((f"{inv}({g.label}) = {v} >= {lower}", v >= lower))
-    return out
-
-
-def _suite_theorems():
-    out = []
-    for inv in INVARIANTS:
-        for n in (4, 5):
-            got = characterize(target_family(inv, n), inv)
-            out.append((f"characterize(target({inv},{n})) == {n}", got == n))
-    fam_p4 = ForbiddenFamily((gen.path(4),), name="P_4")
-    out.append(("characterize({P_4}, inspc) is none",
-                characterize(fam_p4, "inspc") is None))
-    for inv in INVARIANTS:
-        for n in range(4, 7):
-            ok = family_leq(target_family(inv, n), target_family(inv, n + 1))
-            out.append((f"target({inv},{n}) <= target({inv},{n+1})", ok))
-    return out
-
-
-def _random_graph(seed: int, lo: int, hi: int) -> Graph:
-    rng = random.Random(seed)
-    order = rng.randint(lo, hi)
-    p = rng.uniform(0.25, 0.75)
-    return gen.random_connected(order, p, rng)
-
-
-def _chain_check(seed: int) -> tuple[str, bool]:
-    g = _random_graph(seed, 4, 10)
-    vals = {name: solvers.invariant_value(g, name).value
-            for name in INVARIANTS}
-    ok = all(vals[lo] <= vals[hi] for lo, hi in _CHAIN_PAIRS)
-    chi = solvers.chromatic_number(g)
-    ok = ok and chi <= 2 * vals["inspc"] <= 2 * vals["inspp"]
-    return f"chains(seed={seed}, order={g.order})", ok
-
-
-def _oracle_check(seed: int) -> tuple[str, bool]:
-    g = _random_graph(seed, 4, 7)
-    ok = True
-    for kind in PieceKind:
-        ok &= solvers.min_cover(g, kind).value == naive.naive_min_cover(g, kind)
-        ok &= (solvers.min_partition(g, kind).value
-               == naive.naive_min_partition(g, kind))
-    return f"oracle(seed={seed}, order={g.order})", ok
-
-
-def _run_many(fn, seeds, jobs: int):
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            return pool.map(fn, seeds)
-    return [fn(s) for s in seeds]
-
-
 def cmd_verify(args) -> int:
-    if args.suite == "lemma41":
-        results = _suite_lemma41()
-    elif args.suite == "lemma42":
-        results = _suite_lemma42()
-    elif args.suite == "theorems":
-        results = _suite_theorems()
-    elif args.suite == "chains":
-        seeds = [args.seed + i for i in range(args.count or 200)]
-        results = _run_many(_chain_check, seeds, args.jobs)
-    elif args.suite == "oracle":
-        seeds = [args.seed + i for i in range(args.count or 200)]
-        results = _run_many(_oracle_check, seeds, args.jobs)
-    else:
-        raise ParseError(f"unknown suite {args.suite!r}")
+    results = verify.SUITES[args.suite](args.seed, args.count or 200, args.jobs)
     failed = 0
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failed += not ok
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_FAIL
+
+
+# perfbench/pin.py counts each table's checks through these names
+_suite_lemma41, _suite_lemma42, _suite_theorems = (
+    verify.lemma41, verify.lemma42, verify.theorems)
 
 
 # -- argument parsing --------------------------------------------------
@@ -381,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite",
-                   choices=("lemma41", "lemma42", "theorems", "chains", "oracle"))
+    p.add_argument("suite", choices=verify.SUITES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)

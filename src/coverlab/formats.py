@@ -7,8 +7,6 @@ are ignored.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import FormatError
 from .graph import Graph, build_graph
 

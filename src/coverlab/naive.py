@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import Graph, PieceKind, bits, piece_shape_mask
+from .graph import Graph, PieceKind, piece_shape_mask
 
 
 def all_piece_masks(g: Graph, kind: PieceKind) -> list[int]:

@@ -199,22 +199,24 @@ def _star_masks_at(g: Graph, within: int, v: int) -> set[int]:
 
 
 def _path_masks_at(g: Graph, within: int, v: int) -> set[int]:
-    """Induced-path vertex sets containing v inside `within`."""
-    out: set[int] = set()
+    """Induced-path vertex sets containing v inside `within`.
 
-    def extend_right(last: int, mask: int):
+    Each path grows from v at its `last` end, and also at its `left` end
+    while `grow_left` holds; a path that has grown at `last` stops growing
+    at `left`, so every path is reached by left steps, then right steps.
+    """
+    out: set[int] = set()
+    stack = [(v, v, 1 << v, True)]
+    while stack:
+        left, last, mask, grow_left = stack.pop()
         out.add(mask)
         for w in bits(g.adj[last] & within & ~mask):
             if g.adj[w] & mask == 1 << last:
-                extend_right(w, mask | 1 << w)
-
-    def extend_both(left: int, last: int, mask: int):
-        extend_right(last, mask)
-        for w in bits(g.adj[left] & within & ~mask):
-            if g.adj[w] & mask == 1 << left:
-                extend_both(w, last, mask | 1 << w)
-
-    extend_both(v, v, 1 << v)
+                stack.append((left, w, mask | 1 << w, False))
+        if grow_left:
+            for w in bits(g.adj[left] & within & ~mask):
+                if g.adj[w] & mask == 1 << left:
+                    stack.append((w, last, mask | 1 << w, True))
     return out
 
 

@@ -1,10 +1,7 @@
 import json
 
-import pytest
-
 from coverlab import cli
 from coverlab.formats import from_edge_list, from_graph6
-from coverlab import generators as gen
 
 
 def run(capsys, *argv):
@@ -37,11 +34,12 @@ def test_solve_report(tmp_path, capsys):
     path = tmp_path / "k5.txt"
     run(capsys, "gen", "k:5", "--out", str(path))
     code, out, _ = run(capsys, "solve", str(path),
-                       "--invariants", "inspc,inspp")
+                       "--invariants", "inspc,inspp,ispc,ispp")
     assert code == 0
     report = json.loads(out)
     assert report["invariants"]["inspc"]["value"] == 3
     assert report["cross_checks"]["inspc<=inspp"] is True
+    assert report["cross_checks"]["ispc<=ispp"] is True
     assert report["cross_checks"]["chi<=2*inspc"] is True
 
 
@@ -149,8 +147,10 @@ def test_bounds_command(capsys):
 
 
 def test_verify_suites_small(capsys):
+    code, out, _ = run(capsys, "verify", "lemma41")
+    assert code == 0 and out.endswith("\n39/39 checks passed\n")
     code, out, _ = run(capsys, "verify", "lemma42")
-    assert code == 0 and "FAIL" not in out
+    assert code == 0 and out.endswith("\n30/30 checks passed\n")
     code, out, _ = run(capsys, "verify", "chains", "--count", "3")
     assert code == 0
     code, out, _ = run(capsys, "verify", "oracle", "--count", "5", "--seed", "9")

@@ -1,13 +1,11 @@
 import json
-import random
 
 import pytest
 
 from coverlab import generators as gen
-from coverlab.constructive import (ConstructionTrace, cover_to_path_cover,
-                                   cover_to_star_cover, insc_bounded,
-                                   insp_bounded, sp_cover_construct,
-                                   sp_partition_construct,
+from coverlab.constructive import (cover_to_path_cover, cover_to_star_cover,
+                                   insc_bounded, insp_bounded,
+                                   sp_cover_construct, sp_partition_construct,
                                    star_partition_neighborhood)
 from coverlab.errors import (BadInput, Disconnected, FreenessViolated,
                              PathTooLong, StarTooLarge)

@@ -9,6 +9,7 @@ from coverlab.graph import build_graph
 from coverlab.iso import (INVARIANTS, ForbiddenFamily, characterize,
                           contains_induced, family_leq, freeness_witness,
                           is_family_free, target_family)
+from coverlab.verify import theorems
 
 
 def brute_contains_induced(host, pattern):
@@ -81,12 +82,21 @@ def test_freeness_and_witness():
     assert sorted(emb.image()) == [0, 1, 2, 3]
 
 
-def test_family_leq_reflexive_and_monotone():
+@pytest.fixture(scope="module")
+def theorem_checks():
+    return theorems()
+
+
+def _holds(checks, prefix, count):
+    picked = {name: ok for name, ok in checks if name.startswith(prefix)}
+    assert len(picked) == count and all(picked.values()), picked
+
+
+def test_family_leq_reflexive_and_monotone(theorem_checks):
     for inv in INVARIANTS:
         f4 = target_family(inv, 4)
         assert family_leq(f4, f4)
-        for n in range(4, 7):
-            assert family_leq(target_family(inv, n), target_family(inv, n + 1))
+    _holds(theorem_checks, "target(", 3 * len(INVARIANTS))
 
 
 def test_family_leq_transitive_spot():
@@ -96,14 +106,12 @@ def test_family_leq_transitive_spot():
         assert family_leq(a, c)
 
 
-def test_characterize_self():
-    for inv in INVARIANTS:
-        for n in (4, 5):
-            assert characterize(target_family(inv, n), inv) == n
+def test_characterize_self(theorem_checks):
+    _holds(theorem_checks, "characterize(target(", 2 * len(INVARIANTS))
 
 
-def test_characterize_none_and_errors():
-    assert characterize(ForbiddenFamily((gen.path(4),)), "inspc") is None
+def test_characterize_none_and_errors(theorem_checks):
+    _holds(theorem_checks, "characterize({P_4}", 1)
     with pytest.raises(DisconnectedMember):
         characterize(ForbiddenFamily((build_graph(4, [(0, 1)]),)), "inspc")
     with pytest.raises(ValueError):

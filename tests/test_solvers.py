@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab import generators as gen, naive, solvers
+from coverlab import generators as gen, solvers
 from coverlab.errors import Disconnected
 from coverlab.graph import (PieceKind, bits, build_graph, is_independent,
                             mask_of, piece_shape_mask)
@@ -15,25 +15,29 @@ from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
                               independence_number, invariant_value, min_cover,
                               min_dominating_set, min_partition,
                               validate_certificate)
+from coverlab.verify import lemma41, oracle_agrees
 
 
-def test_closed_form_complete_graphs():
-    for n in range(2, 9):
-        assert invariant_value(gen.complete(n), "inspc").value == math.ceil(n / 2)
+@pytest.fixture(scope="module")
+def closed_forms():
+    return lemma41()
 
 
-def test_closed_form_spiders():
-    for n in range(2, 9):
-        assert invariant_value(gen.s_star(n), "inspc").value == math.ceil(n / 2)
-    for n in range(2, 7):
-        assert invariant_value(gen.s_tilde(n), "inspp").value == n + 1
+def _holds(checks, prefixes, count):
+    picked = {name: ok for name, ok in checks if name.startswith(prefixes)}
+    assert len(picked) == count and all(picked.values()), picked
 
 
-def test_closed_form_stars_and_paths():
-    for n in range(2, 11):
-        assert invariant_value(gen.star(n), "inpc").value == math.ceil(n / 2)
-    for n in range(2, 13):
-        assert invariant_value(gen.path(n), "insc").value == math.ceil(n / 3)
+def test_closed_form_complete_graphs(closed_forms):
+    _holds(closed_forms, "inspc(K_", 7)
+
+
+def test_closed_form_spiders(closed_forms):
+    _holds(closed_forms, ("inspc(S*_", "inspp(S~_"), 12)
+
+
+def test_closed_form_stars_and_paths(closed_forms):
+    _holds(closed_forms, ("inpc(K_1,", "insc(P_"), 20)
 
 
 def test_unknown_invariant():
@@ -57,10 +61,7 @@ def test_solver_matches_naive_oracle():
     for trial in range(60):
         order = rng.randint(4, 7)
         g = gen.random_connected(order, rng.uniform(0.25, 0.75), rng)
-        for kind in PieceKind:
-            assert min_cover(g, kind).value == naive.naive_min_cover(g, kind)
-            assert (min_partition(g, kind).value
-                    == naive.naive_min_partition(g, kind))
+        assert oracle_agrees(g)
 
 
 def test_partition_at_least_cover():
@@ -251,4 +252,6 @@ def test_known_small_values():
     assert min_partition(c5, PieceKind.SP_ANY).value == 2
     assert min_cover(gen.complete(4), PieceKind.PATH).value == 2
     assert min_partition(gen.path(6), PieceKind.PATH).value == 1
+    # deeper than the recursion limit: path pieces grow on an explicit stack
+    assert invariant_value(gen.path(1100), "inpp").value == 1
     assert min_partition(gen.star(4), PieceKind.PATH).value == 3
