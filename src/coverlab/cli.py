@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation/verification failure, 3 timeout,
-4 input error.
+4 input error, 5 resource failure (the input is too large or deep for the
+solver, which ran out of recursion depth).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_TIMEOUT = 3
 EXIT_INPUT = 4
+EXIT_RESOURCE = 5
 
 _INPUT_ERRORS = (ParseError, FormatError, BadParameter, BadInput,
                  IndexOutOfRange, SelfLoop)
@@ -190,7 +192,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.SUITES[args.suite](args.seed, args.count or 200, args.jobs)
+    if args.count < 1:
+        raise BadParameter(f"--count must be at least 1, got {args.count}")
+    results = verify.SUITES[args.suite](args.seed, args.count, args.jobs)
     failed = 0
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify.SUITES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=200)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
@@ -299,6 +303,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError as exc:
+        print(f"error: input too large for the solver: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

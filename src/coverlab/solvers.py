@@ -1,7 +1,7 @@
 """Exact solvers for star/path cover and partition invariants.
 
 All solvers are exact branch-and-bound / memoized searches over bitmask
-states.  A timeout never raises: the result carries the best incumbent
+states.  A timeout never raises: the result carries the best solution
 found together with ``optimal=False`` and a valid lower bound.
 """
 
@@ -11,9 +11,9 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BadInput, Disconnected
-from .graph import (Graph, PieceKind, bfs_layering, bits, distances_from,
-                    is_connected, mask_of, piece_shape_mask)
+from .errors import Disconnected
+from .graph import (Graph, PieceKind, bfs_layering, bits, is_connected,
+                    mask_of, piece_shape_mask)
 from . import generators as gen
 
 # invariant name -> (piece kind, mode)
@@ -115,6 +115,12 @@ def _maximal_stars(g: Graph) -> set[int]:
     return out
 
 
+def _rings(g: Graph) -> list[list[int]]:
+    """ring[v][d]: the vertices at distance d from v; empty past the last layer."""
+    return [[mask_of(layer) for layer in bfs_layering(g, v).layers] + [0]
+            for v in range(g.order)]
+
+
 def _maximal_paths(g: Graph, isometric: bool) -> list[int]:
     """Inclusion-maximal induced (or isometric) paths, each once.
 
@@ -128,9 +134,7 @@ def _maximal_paths(g: Graph, isometric: bool) -> list[int]:
     vertices extends by a neighbour at distance k from the other end.
     """
     adj = g.adj
-    # ring[v][d]: the vertices at distance d from v; empty past the last layer
-    ring = [[mask_of(layer) for layer in bfs_layering(g, v).layers] + [0]
-            for v in range(g.order)] if isometric else None
+    ring = _rings(g) if isometric else None
     out = []
     for start in range(g.order):
         stack = [(start, 1 << start, 0, 0)]
@@ -148,18 +152,6 @@ def _maximal_paths(g: Graph, isometric: bool) -> list[int]:
             near |= adj[last]
             for w in bits(ext):
                 stack.append((w, mask | 1 << w, near, far | adj[w]))
-    return out
-
-
-def _isometric_filter(g: Graph, path_masks: Iterable[int]) -> set[int]:
-    dist_cache: dict[int, tuple] = {}
-    out = set()
-    for mask in path_masks:
-        ends = [v for v in bits(mask) if (g.adj[v] & mask).bit_count() <= 1]
-        if ends[0] not in dist_cache:
-            dist_cache[ends[0]] = distances_from(g, ends[0])
-        if dist_cache[ends[0]][ends[-1]] == mask.bit_count() - 1:
-            out.add(mask)
     return out
 
 
@@ -198,38 +190,47 @@ def _star_masks_at(g: Graph, within: int, v: int) -> set[int]:
     return out
 
 
-def _path_masks_at(g: Graph, within: int, v: int) -> set[int]:
-    """Induced-path vertex sets containing v inside `within`.
+def _path_masks_at(g: Graph, within: int, v: int, isometric: bool) -> set[int]:
+    """Induced (or isometric) path vertex sets containing v inside `within`.
 
     Each path grows from v at its `last` end, and also at its `left` end
     while `grow_left` holds; a path that has grown at `last` stops growing
     at `left`, so every path is reached by left steps, then right steps.
+    An induced path grows by a vertex that sees only the end it joins; an
+    isometric path of k vertices by a neighbour at distance k from its
+    other end, on the rings `_maximal_paths` uses.
     """
+    adj = g.adj
+    ring = _rings(g) if isometric else None
+
+    def ext(end: int, other: int, mask: int) -> int:
+        if isometric:
+            return adj[end] & within & ring[other][mask.bit_count()]
+        return mask_of(w for w in bits(adj[end] & within & ~mask)
+                       if adj[w] & mask == 1 << end)
+
     out: set[int] = set()
     stack = [(v, v, 1 << v, True)]
     while stack:
         left, last, mask, grow_left = stack.pop()
         out.add(mask)
-        for w in bits(g.adj[last] & within & ~mask):
-            if g.adj[w] & mask == 1 << last:
-                stack.append((left, w, mask | 1 << w, False))
+        for w in bits(ext(last, left, mask)):
+            stack.append((left, w, mask | 1 << w, False))
         if grow_left:
-            for w in bits(g.adj[left] & within & ~mask):
-                if g.adj[w] & mask == 1 << left:
-                    stack.append((w, last, mask | 1 << w, True))
+            for w in bits(ext(left, last, mask)):
+                stack.append((w, last, mask | 1 << w, True))
     return out
 
 
 def pieces_at(g: Graph, within: int, v: int, kind: PieceKind) -> list[int]:
-    """All piece vertex sets containing v inside `within`, largest first."""
+    """All piece vertex sets containing v inside `within`, sorted by
+    (-size, mask)."""
     if kind is PieceKind.STAR:
         cand = _star_masks_at(g, within, v)
-    elif kind is PieceKind.PATH:
-        cand = _path_masks_at(g, within, v)
-    elif kind is PieceKind.ISOMETRIC_PATH:
-        cand = _isometric_filter(g, _path_masks_at(g, within, v))
+    elif kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH:
+        cand = _path_masks_at(g, within, v, kind is PieceKind.ISOMETRIC_PATH)
     elif kind is PieceKind.SP_ANY:
-        cand = _star_masks_at(g, within, v) | _path_masks_at(g, within, v)
+        cand = _star_masks_at(g, within, v) | _path_masks_at(g, within, v, False)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return sorted(cand, key=lambda m: (-m.bit_count(), m))
@@ -238,39 +239,48 @@ def pieces_at(g: Graph, within: int, v: int, kind: PieceKind) -> list[int]:
 # -- exact solvers -----------------------------------------------------
 
 
-def _greedy_partition(g: Graph, kind: PieceKind) -> list[int]:
-    out = []
-    u = g.full_mask
-    while u:
-        v = next(bits(u))
-        piece = pieces_at(g, u, v, kind)[0]
-        out.append(piece)
-        u &= ~piece
-    return out
-
-
-def _greedy_cover(g: Graph, pieces: list[int]) -> list[int]:
-    out = []
-    u = g.full_mask
-    while u:
-        best = max(pieces, key=lambda m: (m & u).bit_count())
-        if not best & u:
-            raise BadInput("pieces do not cover the graph")
-        out.append(best)
-        u &= ~best
-    return out
-
-
-def _search(g: Graph, kind: PieceKind, mode: str, branch, max_size: int,
-            incumbent: list[int], deadline: _Deadline) -> PieceCertificate:
+def _solve(g: Graph, kind: PieceKind, mode: str,
+           config: SolveConfig) -> PieceCertificate:
     """Memoized branch and bound over the set u of vertices left to take.
 
-    `branch(u)` lists the pieces to try next.  On timeout the result is
-    the incumbent with the bound ceil(n / max_size).
+    `branch(u)` lists the pieces that may take one vertex of u, best
+    first.  A cover uses maximal pieces only and branches on the vertex
+    of u in the fewest of them.  A partition branches on the least vertex
+    v of u: every vertex of u is at least v, so the pieces inside u that
+    hold v are those of `pieces_at(g, V>=v, v, kind)` inside u, and that
+    list is built once per v.  The incumbent follows the first candidate
+    at each node.  On timeout the result is the better of it and the best
+    solution the root has completed, with the bound ceil(n / max_size).
     """
+    if g.order == 0:
+        return PieceCertificate(kind, mode, (), True, 0)
+    deadline = _Deadline(config.timeout)
+    pieces = enumerate_maximal_pieces(g, kind)
+    max_size = pieces[0].bit_count()
+    if mode == "cover":
+        by_vertex = [[m for m in pieces if m >> v & 1] for v in range(g.order)]
+
+        def branch(u: int) -> Iterable[int]:
+            v = min(bits(u), key=lambda w: len(by_vertex[w]))
+            return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
+    else:
+        at: dict[int, list[int]] = {}
+
+        def branch(u: int) -> Iterable[int]:
+            v = (u & -u).bit_length() - 1
+            if v not in at:
+                at[v] = pieces_at(g, g.full_mask >> v << v, v, kind)
+            return (m for m in at[v] if m & u == m)
+
+    incumbent, u = [], g.full_mask
+    while u:
+        m = next(iter(branch(u)))
+        incumbent.append(m)
+        u &= ~m
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def solve(u: int) -> tuple[int, tuple[int, ...]]:
+        nonlocal incumbent
         if not u:
             return 0, ()
         if u in memo:
@@ -285,6 +295,8 @@ def _search(g: Graph, kind: PieceKind, mode: str, branch, max_size: int,
             val, seq = solve(rest)
             if best is None or 1 + val < best[0]:
                 best = (1 + val, (m,) + seq)
+                if u == g.full_mask and best[0] < len(incumbent):
+                    incumbent = best[1]
         memo[u] = best
         return best
 
@@ -293,40 +305,23 @@ def _search(g: Graph, kind: PieceKind, mode: str, branch, max_size: int,
         optimal = True
     except _TimeUp:
         val, masks, optimal = -(-g.order // max_size), incumbent, False
-    pieces = tuple(tuple(bits(m)) for m in masks)
-    return PieceCertificate(kind, mode, pieces, optimal, val)
+    # solve refers to itself; break the cycle so that the memo and the
+    # piece lists are freed now, not at the next full garbage collection
+    del solve
+    return PieceCertificate(kind, mode, tuple(tuple(bits(m)) for m in masks),
+                            optimal, val)
 
 
 def min_cover(g: Graph, kind: PieceKind,
               config: SolveConfig = SolveConfig()) -> PieceCertificate:
     """Minimum number of pieces whose union is V(G), pieces may overlap."""
-    if g.order == 0:
-        return PieceCertificate(kind, "cover", (), True, 0)
-    deadline = _Deadline(config.timeout)
-    pieces = enumerate_maximal_pieces(g, kind)
-    max_size = max(m.bit_count() for m in pieces)
-    incumbent = _greedy_cover(g, pieces)
-    by_vertex = {v: [m for m in pieces if m >> v & 1] for v in range(g.order)}
-
-    def branch(u: int) -> list[int]:
-        # the uncovered vertex with fewest candidate pieces
-        v = min(bits(u), key=lambda w: len(by_vertex[w]))
-        return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
-
-    return _search(g, kind, "cover", branch, max_size, incumbent, deadline)
+    return _solve(g, kind, "cover", config)
 
 
 def min_partition(g: Graph, kind: PieceKind,
                   config: SolveConfig = SolveConfig()) -> PieceCertificate:
     """Minimum number of disjoint pieces whose union is V(G)."""
-    if g.order == 0:
-        return PieceCertificate(kind, "partition", (), True, 0)
-    deadline = _Deadline(config.timeout)
-    max_size = max(m.bit_count() for m in enumerate_maximal_pieces(g, kind))
-    incumbent = _greedy_partition(g, kind)
-    return _search(g, kind, "partition",
-                   lambda u: pieces_at(g, u, next(bits(u)), kind),
-                   max_size, incumbent, deadline)
+    return _solve(g, kind, "partition", config)
 
 
 def invariant_value(g: Graph, name: str,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coverlab import cli
 from coverlab.formats import from_edge_list, from_graph6
 
@@ -155,6 +157,22 @@ def test_verify_suites_small(capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "oracle", "--count", "5", "--seed", "9")
     assert code == 0
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_count_below_one(capsys, count):
+    code, out, err = run(capsys, "verify", "oracle", "--count", count)
+    assert code == 4 and out == ""
+    assert "--count must be at least 1" in err
+
+
+def test_solve_too_deep_exits_5(tmp_path, capsys):
+    # the search recurses once per piece: 1100 singletons exceed the limit
+    path = tmp_path / "kbar.txt"
+    run(capsys, "gen", "kbar:1100", "--out", str(path))
+    code, out, err = run(capsys, "solve", str(path), "--invariants", "inspc")
+    assert code == 5 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_jobs(capsys):

@@ -1,11 +1,13 @@
+import importlib.util
 import math
 import random
-from itertools import combinations
+from itertools import combinations, count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab import generators as gen, solvers
+from coverlab import cli, generators as gen, solvers
 from coverlab.errors import Disconnected
 from coverlab.graph import (PieceKind, bits, build_graph, is_independent,
                             mask_of, piece_shape_mask)
@@ -13,7 +15,7 @@ from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
                               chromatic_coloring, chromatic_number,
                               clique_number, enumerate_maximal_pieces,
                               independence_number, invariant_value, min_cover,
-                              min_dominating_set, min_partition,
+                              min_dominating_set, min_partition, pieces_at,
                               validate_certificate)
 from coverlab.verify import lemma41, oracle_agrees
 
@@ -121,18 +123,42 @@ def test_timeout_budget_includes_enumeration(monkeypatch, solve):
     assert cert.lower_bound <= cert.value
 
 
-def brute_maximal_pieces(g, kind):
-    shaped = [m for m in range(1, 1 << g.order) if piece_shape_mask(g, m, kind)]
-    return {m for m in shaped
-            if not any(m & o == m and o != m for o in shaped)}
+def test_timeout_returns_best_root_solution(monkeypatch):
+    g = gen.random_connected(7, 0.4, random.Random(11))
+
+    def solve(checks):
+        # each clock read advances by one, so the search expands `checks`
+        # nodes and times out at the next
+        monkeypatch.setattr(solvers.time, "monotonic", count().__next__)
+        return min_partition(g, PieceKind.PATH, SolveConfig(timeout=checks))
+
+    dive, cert = solve(0), solve(6)
+    assert not dive.optimal and not cert.optimal
+    assert validate_certificate(g, cert)
+    assert (dive.value, cert.value) == (4, 3)
+    assert cert.lower_bound == dive.lower_bound <= cert.value
+
+
+def brute_pieces(g, kind):
+    return [m for m in range(1, 1 << g.order) if piece_shape_mask(g, m, kind)]
+
+
+def by_size(masks):
+    return sorted(masks, key=lambda m: (-m.bit_count(), m))
 
 
 def check_maximal_pieces(g):
     for kind in PieceKind:
+        shaped = brute_pieces(g, kind)
         got = enumerate_maximal_pieces(g, kind)
-        assert got == sorted(got, key=lambda m: (-m.bit_count(), m))
+        assert got == by_size(got)
         assert len(got) == len(set(got))
-        assert set(got) == brute_maximal_pieces(g, kind), kind
+        assert set(got) == {m for m in shaped
+                            if not any(m & o == m and o != m for o in shaped)}, kind
+        # a partition branches on pieces_at(V>=v, v): the pieces whose least vertex is v
+        for v in range(g.order):
+            assert pieces_at(g, g.full_mask >> v << v, v, kind) == by_size(
+                m for m in shaped if m & -m == 1 << v), (kind, v)
 
 
 def broom(handle, bristles):
@@ -181,6 +207,32 @@ def small_graphs(draw, max_order=9):
 @given(small_graphs())
 def test_maximal_pieces_match_brute_force_random(g):
     check_maximal_pieces(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.data())
+def test_pieces_at_match_brute_force_random_within(g, data):
+    within = data.draw(st.integers(1, g.full_mask))
+    v = data.draw(st.sampled_from(list(bits(within))))
+    for kind in PieceKind:
+        assert pieces_at(g, within, v, kind) == by_size(
+            m for m in brute_pieces(g, kind) if m >> v & 1 and m & within == m), kind
+
+
+def test_tracer_binds_solver_and_suite_names():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert solvers.invariant_value(gen.path(5), "inpp").value == 1
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["solvers.pieces_at.calls"] > 0
+    assert all(callable(getattr(cli, f"_suite_{name}"))
+               for name in ("lemma41", "lemma42", "theorems"))
 
 
 def brute_chromatic(g):
