@@ -124,10 +124,11 @@ def cmd_check_free(args) -> int:
     family = _parse_family(args.family)
     hit = freeness_witness(g, family)
     if hit is None:
-        print("free")
+        _write_out("free\n", args.out)
         return EXIT_OK
     member, emb = hit
-    print(f"not free: {member.label or 'member'} at {sorted(emb.image())}")
+    _write_out(f"not free: {member.label or 'member'} at {sorted(emb.image())}\n",
+               args.out)
     return EXIT_FAIL
 
 

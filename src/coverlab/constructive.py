@@ -19,7 +19,7 @@ from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      InternalInvariantBroken, PathTooLong, StarTooLarge)
 from .graph import (Graph, PieceKind, bfs_layering, bits, is_connected,
                     mask_of, piece_shape_mask)
-from .iso import contains_induced
+from .iso import ForbiddenFamily, freeness_witness
 from .solvers import (PieceCertificate, chromatic_coloring,
                       min_dominating_set, validate_certificate)
 
@@ -59,10 +59,10 @@ class ConstructionTrace:
 
 
 def _check_free(g: Graph, members: Sequence[Graph]) -> None:
-    for h in members:
-        emb = contains_induced(g, h)
-        if emb is not None:
-            raise FreenessViolated(h.label or f"pattern<{h.order}>", emb.image())
+    hit = freeness_witness(g, ForbiddenFamily(tuple(members)))
+    if hit is not None:
+        h, emb = hit
+        raise FreenessViolated(h.label or f"pattern<{h.order}>", emb.image())
 
 
 def _finish(g: Graph, domain: int, algorithm: str, n: int,

@@ -7,7 +7,7 @@ from typing import Optional
 
 from . import generators as gen
 from .errors import DisconnectedMember
-from .graph import Graph, bits, is_connected
+from .graph import Graph, bits, is_connected, mask_of
 
 
 @dataclass(frozen=True)
@@ -51,49 +51,98 @@ def _pattern_order(pattern: Graph) -> list[int]:
 def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     """First induced embedding of pattern into host, or None.
 
-    Candidate host vertices are tried by degree descending (index
-    ascending on ties) so the returned embedding is deterministic.
+    Pattern vertices are placed in `_pattern_order`; candidate host
+    vertices are tried by degree descending (index ascending on ties),
+    so the returned embedding is the least one in that order and is
+    deterministic.
+
+    The search forward-checks.  Placing a pattern vertex on host vertex
+    h narrows the domain of every later pattern vertex: a neighbour
+    keeps N(h), a non-neighbour keeps V - N[h], and a candidate that
+    empties any later domain is rejected at once.  That cuts only
+    subtrees without an embedding.  Domains are stored only for later
+    vertices with a placed neighbour (the frontier); every other later
+    vertex has V minus the closed neighbourhoods of all placed vertices.
+    The search runs on an explicit stack, so no pattern order is too
+    deep for it.
     """
-    if pattern.order > host.order:
+    k = pattern.order
+    if k > host.order:
         return None
-    if pattern.order == 0:
+    if k == 0:
         return Embedding(())
     order = _pattern_order(pattern)
-    host_by_degree = sorted(range(host.order),
-                            key=lambda v: (-host.degree(v), v))
+    need = [pattern.degree(p) for p in order]
+    degree = [row.bit_count() for row in host.adj]
+    if max(need) > max(degree):     # some pattern vertex has no candidate
+        return None
+    # a stable sort keeps equal degrees in ascending index order
+    host_by_degree = sorted(range(host.order), key=degree.__getitem__, reverse=True)
     full = host.full_mask
-    mapping = [-1] * pattern.order
-    used = 0
+    # pattern adjacency between positions of `order`, as position bitmasks
+    position = {p: i for i, p in enumerate(order)}
+    adjacent = [mask_of(position[q] for q in bits(pattern.adj[p])) for p in order]
+    later_nbrs = [list(bits(adjacent[i] >> i + 1 << i + 1)) for i in range(k)]
 
-    def extend(pos: int) -> bool:
-        nonlocal used
-        if pos == len(order):
-            return True
-        p = order[pos]
-        pdeg = pattern.degree(p)
-        # intersect adjacency constraints from already-placed vertices
-        allowed = full & ~used
-        for q in bits(pattern.adj[p]):
-            if mapping[q] >= 0:
-                allowed &= host.adj[mapping[q]]
-        for q in range(pattern.order):
-            if q != p and mapping[q] >= 0 and not pattern.has_edge(p, q):
-                allowed &= ~host.adj[mapping[q]]
-        if not allowed:
-            return False
-        for h in host_by_degree:
-            if not (allowed >> h & 1) or host.degree(h) < pdeg:
+    def narrow(pos: int, h: int, frontier: dict[int, int], closed: int):
+        """Frontier domains after placing position pos on h, or None if
+        some later pattern vertex is left without a host vertex."""
+        nbrs = host.adj[h]
+        non_nbrs = ~(nbrs | 1 << h)
+        adj = adjacent[pos]
+        out = {}
+        for j, d in frontier.items():
+            if j > pos:
+                d &= nbrs if adj >> j & 1 else non_nbrs
+                if not d:
+                    return None
+                out[j] = d
+        # every vertex placed so far is a non-neighbour of a new frontier vertex
+        fresh = nbrs & ~closed
+        for j in later_nbrs[pos]:
+            if j not in out:
+                if not fresh:
+                    return None
+                out[j] = fresh
+        if len(out) < k - pos - 1 and closed | nbrs | 1 << h == full:
+            return None
+        return out
+
+    # per position: frontier domains and closed set in force, candidates, next index
+    images = [0] * k
+    frontiers: list = [{}] + [None] * (k - 1)
+    closeds = [0] * k
+    cands: list = [host_by_degree] + [None] * (k - 1)
+    cursor = [0] * k
+    pos = 0
+    while pos >= 0:
+        frontier, closed = frontiers[pos], closeds[pos]
+        allowed = frontier.get(pos, full & ~closed)
+        deg, cand, i = need[pos], cands[pos], cursor[pos]
+        while i < len(cand) and degree[cand[i]] >= deg:
+            h = cand[i]
+            i += 1
+            if not allowed >> h & 1:
                 continue
-            mapping[p] = h
-            used |= 1 << h
-            if extend(pos + 1):
-                return True
-            used &= ~(1 << h)
-            mapping[p] = -1
-        return False
-
-    if extend(0):
-        return Embedding(tuple(mapping))
+            images[pos] = h
+            if pos + 1 == k:
+                mapping = [0] * k
+                for p, img in zip(order, images):
+                    mapping[p] = img
+                return Embedding(tuple(mapping))
+            narrowed = narrow(pos, h, frontier, closed)
+            if narrowed is not None:
+                cursor[pos] = i
+                pos += 1
+                frontiers[pos] = narrowed
+                closeds[pos] = closed | host.adj[h] | 1 << h
+                cands[pos] = (sorted(bits(narrowed[pos]), key=degree.__getitem__,
+                                     reverse=True)
+                              if pos in narrowed else host_by_degree)
+                cursor[pos] = 0
+                break
+        else:
+            pos -= 1
     return None
 
 

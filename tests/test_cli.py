@@ -97,11 +97,40 @@ def test_check_free_custom_family(tmp_path, capsys):
     assert code == 0 and "free" in out
 
 
+def test_check_free_out_file(tmp_path, capsys):
+    k4 = tmp_path / "k4.txt"
+    run(capsys, "gen", "k:4", "--out", str(k4))
+    out_file = tmp_path / "verdict.txt"
+    code, out, _ = run(capsys, "check-free", str(k4), "inspc:4",
+                       "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert out_file.read_text() == "not free: K_4 at [0, 1, 2, 3]\n"
+    p20 = tmp_path / "p20.txt"
+    run(capsys, "gen", "p:20", "--out", str(p20))
+    code, out, _ = run(capsys, "check-free", str(p20), "inspc:4",
+                       "--out", str(out_file))
+    assert code == 0 and out == ""
+    assert out_file.read_text() == "free\n"
+
+
+def test_check_free_long_path(tmp_path, capsys):
+    path = tmp_path / "p1200.txt"
+    run(capsys, "gen", "p:1200", "--out", str(path))
+    code, out, err = run(capsys, "check-free", str(path), "p:1100")
+    assert code == 2 and err == ""
+    assert out == f"not free: P_1100 at {list(range(1100))}\n"
+
+
 def test_check_order(capsys):
     code, out, _ = run(capsys, "check-order", "inspc:4", "inspc:5")
     assert code == 0 and "<=" in out
     code, out, _ = run(capsys, "check-order", "inspc:4", "inspc:4")
     assert code == 0 and "equivalent" in out
+
+
+def test_check_order_large_incomparable(capsys):
+    code, out, _ = run(capsys, "check-order", "stilde:9", "sstar:8")
+    assert code == 0 and out == "stilde:9 incomparable sstar:8\n"
 
 
 def test_characterize(capsys):

@@ -2,13 +2,14 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverlab import generators as gen
 from coverlab.errors import DisconnectedMember
 from coverlab.graph import build_graph
-from coverlab.iso import (INVARIANTS, ForbiddenFamily, characterize,
-                          contains_induced, family_leq, freeness_witness,
-                          is_family_free, target_family)
+from coverlab.iso import (INVARIANTS, ForbiddenFamily, _pattern_order,
+                          characterize, contains_induced, family_leq,
+                          freeness_witness, is_family_free, target_family)
 from coverlab.verify import theorems
 
 
@@ -70,6 +71,65 @@ def test_containment_known_cases():
     assert contains_induced(gen.path(4), gen.cycle(4)) is None
     assert contains_induced(gen.s_tilde(3), gen.s_star(3)) is None  # extra edges break it
     assert contains_induced(gen.f3(3), gen.f4(3)) is not None
+
+
+def test_stilde_excludes_sstar():
+    # every vertex of S~_10 sees x_1, so no image is left for a z_i of S*_9;
+    # without look-ahead this is about 10! * 2^9 partial maps
+    assert contains_induced(gen.s_tilde(10), gen.s_star(9)) is None
+
+
+def least_embedding(host, pattern):
+    """The induced embedding whose images, read in `_pattern_order` and
+    ranked by host degree descending (index ascending), are least."""
+    order = _pattern_order(pattern)
+    by_degree = sorted(range(host.order), key=lambda v: (-host.degree(v), v))
+    rank = {h: i for i, h in enumerate(by_degree)}
+    best = None
+    for images in permutations(range(host.order), pattern.order):
+        if all(pattern.has_edge(a, b) == host.has_edge(images[a], images[b])
+               for a, b in combinations(range(pattern.order), 2)):
+            key = tuple(rank[images[p]] for p in order)
+            if best is None or key < best[0]:
+                best = (key, images)
+    return None if best is None else best[1]
+
+
+def test_first_embedding_is_least():
+    rng = random.Random(2024)
+    found = 0
+    for trial in range(300):
+        host = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.8))
+        pattern = random_graph(rng, rng.randint(1, 4), rng.uniform(0.2, 0.8))
+        emb = contains_induced(host, pattern)
+        assert (emb and emb.map) == least_embedding(host, pattern)
+        found += emb is not None
+    assert 100 < found < 300
+
+
+@st.composite
+def small_graphs(draw, max_order):
+    n = draw(st.integers(1, max_order))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(10), small_graphs(6))
+def test_contains_induced_matches_networkx(host, pattern):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.order))
+        h.add_edges_from(g.edges())
+        return h
+
+    expected = GraphMatcher(to_nx(host), to_nx(pattern)).subgraph_is_isomorphic()
+    assert (contains_induced(host, pattern) is not None) == expected
 
 
 def test_freeness_and_witness():
