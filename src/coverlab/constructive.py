@@ -17,8 +17,8 @@ from . import generators as gen
 from .bounds import BoundValue, Status, xi_value
 from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      InternalInvariantBroken, PathTooLong, StarTooLarge)
-from .graph import (Graph, PieceKind, bfs_layering, bits, is_connected,
-                    mask_of, piece_shape_mask)
+from .graph import (BfsLayering, Graph, PieceKind, bfs_layering, bits,
+                    is_connected, mask_of, piece_shape_mask)
 from .iso import ForbiddenFamily, freeness_witness
 from .solvers import (PieceCertificate, chromatic_coloring,
                       min_dominating_set, validate_certificate)
@@ -255,6 +255,10 @@ def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
 
 
 # -- layered long-path machinery ---------------------------------------
+#
+# The long branch runs on one BFS layering of the whole graph, the Q-path
+# masks and ν, each built once per construction, so every layer vertex
+# costs a few mask operations wherever it is looked at.
 
 
 @dataclass
@@ -265,60 +269,60 @@ class _LayeredState:
     n: int
     root: int
     layers: tuple[tuple[int, ...], ...]
-    d: int
-    k: list[int]            # k[h], 1-based, k[h0+1] = 2n
+    dist: tuple[Optional[int], ...]  # BFS distance from the root
+    nu: int                   # ν = R(n-1, n) - 1, the slice-size bound
+    k: list[int]              # k[h], 1-based, k[h0+1] = 2n
     q_paths: list[list[int]]  # q_paths[h-1] = vertices of Q_h by layer
+    q_masks: list[int]        # q_masks[h-1] = vertex mask of Q_h
     h0: int = 0
-    union_mask: int = 0
 
 
-def _least_index_shortest_path(g: Graph, lay, target: int) -> list[int]:
+def _parent(g: Graph, dist: Sequence[Optional[int]], x: int) -> int:
+    """Least-index neighbour of x one layer nearer the root."""
+    up = dist[x] - 1
+    for w in bits(g.adj[x]):  # ascending, so the first hit is the least
+        if dist[w] == up:
+            return w
+    raise InternalInvariantBroken("layer vertex with no parent")
+
+
+def _least_index_shortest_path(g: Graph, dist: Sequence[Optional[int]],
+                               target: int) -> list[int]:
     """Shortest root->target path taking the least-index parent at each step."""
     path = [target]
     cur = target
-    while lay.dist[cur] > 0:
-        prev_layer = mask_of(lay.layers[lay.dist[cur] - 1])
-        cur = next(bits(g.adj[cur] & prev_layer))
+    while dist[cur] > 0:
+        cur = _parent(g, dist, cur)
         path.append(cur)
     path.reverse()
     return path
 
 
-def _build_q_paths(g: Graph, n: int, root: int) -> _LayeredState:
-    lay = bfs_layering(g, root)
-    d = lay.depth
+def _build_q_paths(g: Graph, n: int, lay: BfsLayering, nu: int) -> _LayeredState:
     layers = lay.layers
-    st = _LayeredState(g, n, root, layers, d, [0], [])
+    st = _LayeredState(g, n, lay.root, layers, lay.dist, nu, [0], [], [])
+
+    def add(k_h: int, w: int) -> None:
+        q = _least_index_shortest_path(g, lay.dist, w)
+        st.k.append(k_h)
+        st.q_paths.append(q)
+        st.q_masks.append(mask_of(q))
 
     # Q_1: least-index vertex of the deepest layer
-    k_h = d
-    w = min(layers[d])
-    q = _least_index_shortest_path(g, lay, w)
-    st.k.append(k_h)
-    st.q_paths.append(q)
-    st.union_mask |= mask_of(q)
-
-    while True:
-        k_prev = st.k[-1]
-        if k_prev < 3 * n + 2:
-            st.k.append(2 * n)
-            break
+    add(lay.depth, min(layers[lay.depth]))
+    union = st.q_masks[0]
+    while st.k[-1] >= 3 * n + 2:
         chosen = None
-        for i in range(k_prev - n - 1, 2 * n, -1):
-            cand = [y for y in layers[i]
-                    if not (st.union_mask >> y & 1)
-                    and not (g.adj[y] & st.union_mask)]
+        for i in range(st.k[-1] - n - 1, 2 * n, -1):
+            cand = [y for y in layers[i] if not (g.adj[y] | 1 << y) & union]
             if cand:
                 chosen = (i, min(cand))
                 break
         if chosen is None:
-            st.k.append(2 * n)
             break
-        k_h, w = chosen
-        q = _least_index_shortest_path(g, lay, w)
-        st.k.append(k_h)
-        st.q_paths.append(q)
-        st.union_mask |= mask_of(q)
+        add(*chosen)
+        union |= st.q_masks[-1]
+    st.k.append(2 * n)
     st.h0 = len(st.q_paths)
     return st
 
@@ -333,8 +337,8 @@ def _check_q_claims(st: _LayeredState) -> None:
     root_bit = 1 << st.root
     for a in range(st.h0):
         for b in range(a + 1, st.h0):
-            ma = mask_of(st.q_paths[a]) & ~root_bit
-            mb = mask_of(st.q_paths[b]) & ~root_bit
+            ma = st.q_masks[a] & ~root_bit
+            mb = st.q_masks[b] & ~root_bit
             if ma & mb:
                 raise InternalInvariantBroken("Q-paths share a non-root vertex")
             for v in bits(ma):
@@ -344,8 +348,7 @@ def _check_q_claims(st: _LayeredState) -> None:
         raise InternalInvariantBroken(f"number of Q-paths {st.h0} exceeds {n - 1}")
     # a layer vertex with a neighbor on Q is pinned to the adjacent
     # layer vertices of Q, for layers n+1 .. k_h - n - 1
-    for h, q in enumerate(st.q_paths, start=1):
-        qmask = mask_of(q)
+    for h, (q, qmask) in enumerate(zip(st.q_paths, st.q_masks), start=1):
         for i in range(n + 1, st.k[h] - n):
             for y in st.layers[i]:
                 if g.adj[y] & qmask or (qmask >> y & 1):
@@ -379,11 +382,8 @@ def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
     g = st.g
     out: list[list[int]] = [[] for _ in range(h)]
     for y in sorted(st.layers[i]):
-        hits = []
-        for l in range(h):
-            qmask = mask_of(st.q_paths[l])
-            if (qmask >> y & 1) or (g.adj[y] & qmask):
-                hits.append(l)
+        closed = g.adj[y] | 1 << y
+        hits = [l for l in range(h) if closed & st.q_masks[l]]
         if not hits:
             raise InternalInvariantBroken(
                 "band-layer vertex sees no earlier Q-path")
@@ -391,7 +391,7 @@ def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
             raise InternalInvariantBroken(
                 "band-layer vertex sees two Q-paths; slices not disjoint")
         out[hits[0]].append(y)
-    nu = _nu(st.n)
+    nu = st.nu
     for l in range(h):
         if len(out[l]) > nu:
             raise InternalInvariantBroken("slice larger than the Ramsey bound")
@@ -410,7 +410,7 @@ def _woven_paths(st: _LayeredState, p: int, Jp: range) -> list[int]:
     Jp_prime = range(Jp.start, Jp.stop - 1)  # drop the top band layer
     if len(Jp_prime) == 0:
         return []
-    nu = _nu(st.n)
+    nu = st.nu
     per_layer = {i: _slices(st, p, i) for i in Jp_prime}
     masks = []
     for l in range(p):
@@ -466,11 +466,7 @@ def _forest_blocks(st: _LayeredState, lo: int, hi: int) -> list[tuple[int, list[
         for x in st.layers[i]:
             members.append(x)
             if i > lo:
-                prev = mask_of(st.layers[i - 1])
-                up = g.adj[x] & prev
-                if not up:
-                    raise InternalInvariantBroken("layer vertex with no parent")
-                parent[x] = next(bits(up))
+                parent[x] = _parent(g, st.dist, x)
 
     def find_root(x: int) -> int:
         while x in parent:
@@ -518,7 +514,8 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
         raise BadParameter("n >= 4 required")
     if not 0 <= root < g.order:
         raise BadParameter("root out of range")
-    if not is_connected(g):
+    lay = bfs_layering(g, root)
+    if sum(len(l) for l in lay.layers) != g.order:
         raise Disconnected("input must be connected")
     if mode == "cover":
         family = (gen.complete(n), gen.s_star(n), gen.f1(n), gen.f2(n), gen.f3(n))
@@ -529,10 +526,7 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
         algorithm = "sp_partition_construct"
     _check_free(g, family)
 
-    lay = bfs_layering(g, root)
     d = lay.depth
-    if sum(len(l) for l in lay.layers) != g.order:
-        raise Disconnected("root does not reach every vertex")
     bound_note = BoundValue(None, Status.UPPER_BOUND_ONLY,
                             note="bound component not materialized")
     if d <= n * n + 2 * n - 1:
@@ -544,10 +538,9 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
                         "delegate": t.intermediate}
         return ConstructionTrace(algorithm, n, intermediate, t.result, bound_note)
 
-    st = _build_q_paths(g, n, root)
+    st = _build_q_paths(g, n, lay, _nu(n))
     _check_q_claims(st)
     I, J, m, L = _index_sets(st)
-    r = len(L)
     pieces: list[int] = []
     band_logs = []
     for p in L:
@@ -559,9 +552,8 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
         pieces.extend(got)
         band_logs.append({"stage": p, "layers": [Jp.start, Jp.stop - 2],
                           "paths": len(got)})
-    nu = _nu(n)
+    nu = st.nu
     block_logs = []
-    prev_top = d  # k_{p_{h-1}+1} for h = 1 is k_1 = d
     for idx, p in enumerate(L):
         lo = m[p] - 1
         hi = st.k[L[idx - 1] + 1] if idx > 0 else st.k[1]

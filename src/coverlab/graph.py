@@ -94,9 +94,6 @@ class Graph:
             rows.append(m)
         return Graph(len(vertices), tuple(rows))
 
-    def relabel_by_mask(self, mask: int) -> "Graph":
-        return self.subgraph(list(bits(mask)))
-
 
 @dataclass(frozen=True)
 class BfsLayering:
@@ -109,9 +106,6 @@ class BfsLayering:
     @property
     def depth(self) -> int:
         return len(self.layers) - 1
-
-    def layer_mask(self, i: int) -> int:
-        return mask_of(self.layers[i])
 
 
 def build_graph(order: int, edges: Iterable[tuple[int, int]],
@@ -135,13 +129,13 @@ def bfs_layering(g: Graph, root: int) -> BfsLayering:
         raise IndexOutOfRange(f"root {root} outside [0,{g.order})")
     dist: list[Optional[int]] = [None] * g.order
     dist[root] = 0
-    layers = [[root]]
-    frontier = 1 << root
-    seen = frontier
+    layer = [root]
+    layers = [layer]
+    seen = 1 << root
     d = 0
     while True:
         nxt = 0
-        for v in bits(frontier):
+        for v in layer:
             nxt |= g.adj[v]
         nxt &= ~seen
         if not nxt:
@@ -152,7 +146,6 @@ def bfs_layering(g: Graph, root: int) -> BfsLayering:
             dist[v] = d
         layers.append(layer)
         seen |= nxt
-        frontier = nxt
     return BfsLayering(root, tuple(tuple(l) for l in layers), tuple(dist))
 
 

@@ -382,25 +382,35 @@ def chromatic_coloring(g: Graph) -> list[int]:
     lo = clique_number(g)
 
     def colorable(k: int) -> Optional[list[int]]:
+        # depth-first over `order` on an explicit stack: position i keeps
+        # the colors its neighbors use, the highest color used before it
+        # and the next color to try, 0 when i is entered afresh
         colors = [-1] * g.order
-
-        def assign(i: int, used_max: int) -> bool:
-            if i == len(order):
-                return True
+        used: list[Optional[set[int]]] = [None] * len(order)
+        used_max = [-1] * (len(order) + 1)
+        next_c = [0] * len(order)
+        i = 0
+        while i < len(order):
             v = order[i]
-            used = {colors[w] for w in bits(g.adj[v]) if colors[w] >= 0}
-            for c in range(min(k, used_max + 2)):
-                if c in used:
-                    continue
+            if next_c[i] == 0:
+                used[i] = {colors[w] for w in bits(g.adj[v]) if colors[w] >= 0}
+            # nothing above used_max + 1 is tried: fresh colors are
+            # interchangeable, so the first fresh one is the last tried
+            limit = min(k, used_max[i] + 2)
+            c = next_c[i]
+            while c < limit and c in used[i]:
+                c += 1
+            if c < limit:
                 colors[v] = c
-                if assign(i + 1, max(used_max, c)):
-                    return True
+                next_c[i] = c + 1
+                used_max[i + 1] = max(used_max[i], c)
+                i += 1
+            else:
                 colors[v] = -1
-                if c > used_max:
-                    break  # fresh colors are interchangeable
-            return False
-        if not assign(0, -1):
-            return None
+                next_c[i] = 0
+                i -= 1
+                if i < 0:
+                    return None
         classes = [0] * k
         for v, c in enumerate(colors):
             classes[c] |= 1 << v

@@ -1,15 +1,21 @@
 import json
+import random
 
 import pytest
 
 from coverlab import generators as gen
-from coverlab.constructive import (cover_to_path_cover, cover_to_star_cover,
+from coverlab.constructive import (_LayeredState, _build_q_paths,
+                                   _check_q_claims, _forest_blocks,
+                                   _index_sets, _nu, _slices,
+                                   cover_to_path_cover, cover_to_star_cover,
                                    insc_bounded, insp_bounded,
                                    sp_cover_construct, sp_partition_construct,
                                    star_partition_neighborhood)
 from coverlab.errors import (BadInput, Disconnected, FreenessViolated,
-                             PathTooLong, StarTooLarge)
-from coverlab.graph import PieceKind, build_graph, mask_of, piece_shape_mask
+                             InternalInvariantBroken, PathTooLong,
+                             StarTooLarge)
+from coverlab.graph import (PieceKind, bfs_layering, bits, build_graph,
+                            mask_of, piece_shape_mask)
 from coverlab.iso import is_family_free, target_family
 from coverlab.solvers import (PieceCertificate, invariant_value, min_cover,
                               validate_certificate)
@@ -237,3 +243,134 @@ def test_conversion_preserves_partition_mode():
     out = cover_to_path_cover(g, cert, 4)
     assert out.mode == "partition"
     assert validate_certificate(g, out)
+
+
+# -- the layered construction against per-vertex reference definitions --
+
+
+def ref_least_index_path(g, lay, target):
+    path = [target]
+    while lay.dist[path[-1]] > 0:
+        prev = mask_of(lay.layers[lay.dist[path[-1]] - 1])
+        path.append(next(bits(g.adj[path[-1]] & prev)))
+    return path[::-1]
+
+
+def ref_slices(st, h, i):
+    out = [[] for _ in range(h)]
+    for y in sorted(st.layers[i]):
+        hits = [l for l in range(h)
+                if mask_of(st.q_paths[l]) >> y & 1
+                or st.g.adj[y] & mask_of(st.q_paths[l])]
+        assert len(hits) == 1
+        out[hits[0]].append(y)
+    return out
+
+
+def ref_forest_blocks(st, lo, hi):
+    parent, members = {}, []
+    for i in range(lo, hi + 1):
+        for x in st.layers[i]:
+            members.append(x)
+            if i > lo:
+                parent[x] = next(bits(st.g.adj[x] & mask_of(st.layers[i - 1])))
+    comps = {}
+    for x in members:
+        root = x
+        while root in parent:
+            root = parent[root]
+        comps.setdefault(root, []).append(x)
+    return sorted(comps.items())
+
+
+def path_blowup(widths):
+    """Layer i is an independent set of widths[i] vertices, joined
+    completely to the layers next to it."""
+    starts = [sum(widths[:i]) for i in range(len(widths) + 1)]
+    edges = [(a, b) for i in range(len(widths) - 1)
+             for a in range(starts[i], starts[i + 1])
+             for b in range(starts[i + 1], starts[i + 2])]
+    return build_graph(starts[-1], edges)
+
+
+def broom(handle, bristles):
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + j) for j in range(bristles)]
+    return build_graph(handle + bristles, edges)
+
+
+LONG_BRANCH_GRAPHS = [
+    ("path", gen.path(120)), ("path", gen.path(400)),
+    ("cycle", gen.cycle(150)), ("cycle", gen.cycle(380)),
+    ("broom", broom(110, 9)), ("broom", broom(300, 4)),
+    ("blowup", path_blowup([random.Random(7).choice((1, 2)) for _ in range(130)])),
+]
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("name,g", LONG_BRANCH_GRAPHS,
+                         ids=[f"{name}{g.order}" for name, g in LONG_BRANCH_GRAPHS])
+def test_layered_helpers_match_reference(name, g, n):
+    lay = bfs_layering(g, 0)
+    st = _build_q_paths(g, n, lay, _nu(n))
+    for q, q_mask in zip(st.q_paths, st.q_masks):
+        assert q == ref_least_index_path(g, lay, q[-1])
+        assert q_mask == mask_of(q)
+    _check_q_claims(st)
+    _, J, m, L = _index_sets(st)
+    for p in L:
+        for i in range(J[p].start, J[p].stop - 1):
+            assert _slices(st, p, i) == ref_slices(st, p, i)
+    blocks = [(m[p] - 1, st.k[L[idx - 1] + 1] if idx else st.k[1])
+              for idx, p in enumerate(L)]
+    blocks.append((0, st.k[L[-1] + 1]))
+    for lo, hi in blocks:
+        assert _forest_blocks(st, lo, hi) == ref_forest_blocks(st, lo, hi)
+
+
+def two_path_state(extra_edges, nu=8):
+    """Q_1 = 0-1-2-3 and Q_2 = 0-4-5-6 from root 0, plus vertex 7 and
+    `extra_edges` at it."""
+    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6),
+                        *extra_edges])
+    lay = bfs_layering(g, 0)
+    q_paths = [[0, 1, 2, 3], [0, 4, 5, 6]]
+    return _LayeredState(g, 4, 0, lay.layers, lay.dist, nu, [0, 3, 3, 8],
+                         q_paths, [mask_of(q) for q in q_paths], 2)
+
+
+def test_slices_on_a_hand_built_state():
+    st = two_path_state([(7, 1)])
+    assert st.layers[2] == (2, 5, 7)
+    assert _slices(st, 2, 2) == [[2, 7], [5]]
+
+
+def test_slices_reject_a_vertex_seeing_two_q_paths():
+    st = two_path_state([(7, 1), (7, 4)])
+    with pytest.raises(InternalInvariantBroken,
+                       match="^band-layer vertex sees two Q-paths; slices not disjoint$"):
+        _slices(st, 2, 2)
+
+
+def test_slices_reject_a_vertex_seeing_no_earlier_q_path():
+    st = two_path_state([(7, 1)])
+    # 5 lies on Q_2, which is not among the first h = 1 paths
+    with pytest.raises(InternalInvariantBroken,
+                       match="^band-layer vertex sees no earlier Q-path$"):
+        _slices(st, 1, 2)
+
+
+def test_slices_reject_a_slice_larger_than_nu():
+    st = two_path_state([(7, 1)], nu=1)
+    with pytest.raises(InternalInvariantBroken,
+                       match="^slice larger than the Ramsey bound$"):
+        _slices(st, 2, 2)
+
+
+@pytest.mark.parametrize("construct", (sp_cover_construct, sp_partition_construct))
+def test_layered_construction_rejects_disconnected_input(construct):
+    for g in (build_graph(4, [(0, 1), (2, 3)]),
+              # a forbidden K_4 as well: connectivity is checked first
+              build_graph(5, [(a, b) for a in range(4) for b in range(a + 1, 4)])):
+        with pytest.raises(Disconnected, match="^input must be connected$"):
+            construct(g, 4)

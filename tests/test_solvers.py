@@ -235,6 +235,18 @@ def test_tracer_binds_solver_and_suite_names():
                for name in ("lemma41", "lemma42", "theorems"))
 
 
+def test_tracer_tables_name_coverlab_functions():
+    # a renamed or removed function would otherwise drop out of traced runs
+    # without an error: `Tracer.install` looks each one up by name
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, fn in [*tracing.SPANNED, *tracing.COUNTED]:
+        mod = importlib.import_module(f"coverlab.{module}")
+        assert callable(getattr(mod, fn, None)), f"coverlab.{module}.{fn}"
+
+
 def brute_chromatic(g):
     for k in range(1, g.order + 1):
         def colorable(i, colors):
@@ -284,6 +296,10 @@ def test_chromatic_coloring_is_proper_and_optimal():
             assert not total & m
             total |= m
         assert total == g.full_mask
+
+
+def test_chromatic_number_deeper_than_recursion_limit():
+    assert chromatic_number(gen.generate("kbar:1100")) == 1
 
 
 def test_min_dominating_set():
