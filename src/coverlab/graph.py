@@ -219,10 +219,18 @@ def is_clique(g: Graph, mask: int) -> bool:
 
 
 def _star_center(g: Graph, mask: int) -> Optional[int]:
-    """A vertex adjacent to all others in mask whose co-set is independent."""
-    rest_all = mask
-    for c in bits(mask):
-        rest = rest_all & ~(1 << c)
+    """The least vertex adjacent to all others in mask whose co-set is
+    independent.
+
+    A centre sees every other vertex, so it is the least vertex of mask
+    or a neighbour of it in mask: only those are tried, in ascending
+    order.
+    """
+    if not mask:
+        return None
+    least = (mask & -mask).bit_length() - 1
+    for c in bits(mask & (g.adj[least] | 1 << least)):
+        rest = mask & ~(1 << c)
         if g.adj[c] & mask == rest and is_independent(g, rest):
             return c
     return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import Disconnected
 from .graph import (Graph, PieceKind, bfs_layering, bits, is_connected,
@@ -64,18 +64,72 @@ class _TimeUp(Exception):
 # -- piece enumeration -------------------------------------------------
 
 
-def _independent_subsets(g: Graph, within: int):
-    """All independent subsets of `within` (including the empty set)."""
-    verts = list(bits(within))
+def _independent_subsets(g: Graph, within: int,
+                         size: Optional[int] = None) -> list[int]:
+    """The independent subsets of `within`, the empty set included, or
+    only those of `size` vertices.
 
-    def rec(i: int, mask: int, forbidden: int):
-        yield mask
-        for j in range(i, len(verts)):
-            v = verts[j]
-            if forbidden >> v & 1:
+    Each set grows by the vertices above its greatest one that it does
+    not see, on an explicit stack.  With `size`, a full set stops, and a
+    set is not grown by a vertex above which too few are left to fill it.
+    """
+    if size is not None and size < 0:
+        return []
+    out = []
+    stack = [(0, within)]
+    while stack:
+        s, cand = stack.pop()
+        if size is None or s.bit_count() == size:
+            out.append(s)
+            if size is not None:
                 continue
-            yield from rec(j + 1, mask | 1 << v, forbidden | g.adj[v])
-    yield from rec(0, 0, 0)
+        need = 0 if size is None else size - s.bit_count() - 1
+        for w in bits(cand):
+            cand ^= 1 << w
+            if cand.bit_count() < need:
+                break
+            stack.append((s | 1 << w, cand & ~g.adj[w]))
+    return out
+
+
+def _independence_number(g: Graph, within: int, floor: int = 0) -> int:
+    """The independence number of g[within], or `floor` if that is more.
+
+    Branch and bound on an explicit stack.  A vertex with at most one
+    neighbour left lies in some largest independent set, so it is taken
+    at once; otherwise the search takes or drops a vertex of most
+    neighbours left, and drops a branch that cannot beat the best.
+    """
+    adj, best = g.adj, floor
+    stack = [(0, within)]
+    while stack:
+        size, p = stack.pop()
+        while p:
+            if size + p.bit_count() <= best:
+                break
+            for w in bits(p):
+                nb = adj[w] & p
+                if nb & (nb - 1) == 0:
+                    size, p = size + 1, p & ~(nb | 1 << w)
+                    break
+            else:
+                v = max(bits(p), key=lambda w: (adj[w] & p).bit_count())
+                stack.append((size, p & ~(1 << v)))
+                stack.append((size + 1, p & ~(adj[v] | 1 << v)))
+                break
+        else:
+            best = max(best, size)
+    return best
+
+
+def _largest_star(g: Graph) -> int:
+    """The order of a largest induced star: 1 + max_c alpha(N(c))."""
+    best = 1
+    for c in sorted(range(g.order), key=lambda c: -g.degree(c)):
+        if 1 + g.degree(c) <= best:
+            break
+        best = 1 + _independence_number(g, g.adj[c], best - 1)
+    return best
 
 
 def _maximal_independent_sets(g: Graph, within: int):
@@ -176,17 +230,24 @@ def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
     return sorted(cand, key=lambda m: (-m.bit_count(), m))
 
 
-def _star_masks_at(g: Graph, within: int, v: int) -> set[int]:
-    """Star vertex sets containing v inside `within` (incl. {v})."""
-    out = {1 << v}
-    # v as center
-    for leaves in _independent_subsets(g, g.adj[v] & within):
-        out.add(1 << v | leaves)
-    # v as a leaf of center c
-    for c in bits(g.adj[v] & within):
-        pool = g.adj[c] & within & ~g.adj[v] & ~(1 << v)
-        for rest in _independent_subsets(g, pool):
-            out.add(1 << c | 1 << v | rest)
+def _star_masks_at(g: Graph, within: int, v: int,
+                   size: Optional[int] = None) -> set[int]:
+    """Star vertex sets containing v inside `within`, {v} included, or
+    only those of `size` vertices.
+
+    v is the centre with independent leaves in its neighbourhood, or a
+    leaf of a centre c with further leaves that do not see v.  A star of
+    two vertices has both as centres, so it is listed with v as one.
+    """
+    near = g.adj[v] & within
+    out = {1 << v | leaves for leaves in _independent_subsets(
+        g, near, None if size is None else size - 1)}
+    if size is not None and size <= 2:
+        return out
+    for c in bits(near):
+        pool = g.adj[c] & within & ~near & ~(1 << v)
+        out.update(1 << c | 1 << v | rest for rest in _independent_subsets(
+            g, pool, None if size is None else size - 2))
     return out
 
 
@@ -196,43 +257,49 @@ def _path_masks_at(g: Graph, within: int, v: int, isometric: bool) -> set[int]:
     Each path grows from v at its `last` end, and also at its `left` end
     while `grow_left` holds; a path that has grown at `last` stops growing
     at `left`, so every path is reached by left steps, then right steps.
-    An induced path grows by a vertex that sees only the end it joins; an
-    isometric path of k vertices by a neighbour at distance k from its
-    other end, on the rings `_maximal_paths` uses.
+    An induced path grows at one end by a vertex that sees no other path
+    vertex: none outside `inner`, the neighbours of the vertices between
+    the ends, and none of the other end's.  An isometric path of k
+    vertices grows by a neighbour at distance k from its other end, on
+    the rings `_maximal_paths` uses.
     """
     adj = g.adj
     ring = _rings(g) if isometric else None
-
-    def ext(end: int, other: int, mask: int) -> int:
-        if isometric:
-            return adj[end] & within & ring[other][mask.bit_count()]
-        return mask_of(w for w in bits(adj[end] & within & ~mask)
-                       if adj[w] & mask == 1 << end)
-
     out: set[int] = set()
-    stack = [(v, v, 1 << v, True)]
+    stack = [(v, v, 1 << v, True, 0)]
     while stack:
-        left, last, mask, grow_left = stack.pop()
+        left, last, mask, grow_left, inner = stack.pop()
         out.add(mask)
-        for w in bits(ext(last, left, mask)):
-            stack.append((left, w, mask | 1 << w, False))
+        if isometric:
+            k = mask.bit_count()
+            right, back = ring[left][k] & within, ring[last][k] & within
+        elif left == last:
+            right = back = within
+        else:
+            free = within & ~mask & ~inner
+            right, back = free & ~adj[left], free & ~adj[last]
+        for w in bits(adj[last] & right):
+            stack.append((left, w, mask | 1 << w, False,
+                          inner if left == last else inner | adj[last]))
         if grow_left:
-            for w in bits(ext(left, last, mask)):
-                stack.append((w, last, mask | 1 << w, True))
+            for w in bits(adj[left] & back):
+                stack.append((w, last, mask | 1 << w, True,
+                              inner if left == last else inner | adj[left]))
     return out
 
 
-def pieces_at(g: Graph, within: int, v: int, kind: PieceKind) -> list[int]:
-    """All piece vertex sets containing v inside `within`, sorted by
-    (-size, mask)."""
-    if kind is PieceKind.STAR:
-        cand = _star_masks_at(g, within, v)
-    elif kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH:
-        cand = _path_masks_at(g, within, v, kind is PieceKind.ISOMETRIC_PATH)
-    elif kind is PieceKind.SP_ANY:
-        cand = _star_masks_at(g, within, v) | _path_masks_at(g, within, v, False)
-    else:
+def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
+              size: Optional[int] = None) -> list[int]:
+    """The piece vertex sets containing v inside `within`, sorted by
+    (-size, mask); with `size`, only those of `size` vertices."""
+    if not isinstance(kind, PieceKind):
         raise ValueError(f"unknown kind {kind!r}")
+    cand = set()
+    if kind is PieceKind.STAR or kind is PieceKind.SP_ANY:
+        cand = _star_masks_at(g, within, v, size)
+    if kind is not PieceKind.STAR:
+        paths = _path_masks_at(g, within, v, kind is PieceKind.ISOMETRIC_PATH)
+        cand |= paths if size is None else {m for m in paths if m.bit_count() == size}
     return sorted(cand, key=lambda m: (-m.bit_count(), m))
 
 
@@ -244,35 +311,78 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     """Memoized branch and bound over the set u of vertices left to take.
 
     `branch(u)` lists the pieces that may take one vertex of u, best
-    first.  A cover uses maximal pieces only and branches on the vertex
-    of u in the fewest of them.  A partition branches on the least vertex
-    v of u: every vertex of u is at least v, so the pieces inside u that
-    hold v are those of `pieces_at(g, V>=v, v, kind)` inside u, and that
-    list is built once per v.  The incumbent follows the first candidate
-    at each node.  On timeout the result is the better of it and the best
-    solution the root has completed, with the bound ceil(n / max_size).
+    first, so the vertices of u left after each are never fewer than
+    after the one before: the first candidate cut off by the bound
+    ceil(|u| / max_size) ends the node, and so does a solution that meets
+    that bound.  A cover uses maximal pieces only and branches on the
+    vertex of u in the fewest of them.  A partition branches on the least
+    vertex v of u: every vertex of u is at least v, so the pieces inside
+    u that hold v are those of `pieces_at(g, V>=v, v, kind)` inside u.
+    All nodes share their list, and stars join it one size class at a
+    time, largest first, only as far as a node reads it.  The incumbent
+    follows the first candidate at each node.  On timeout the result is
+    the better of it and the best solution the root has completed, with
+    the bound ceil(n / max_size).
     """
     if g.order == 0:
         return PieceCertificate(kind, mode, (), True, 0)
     deadline = _Deadline(config.timeout)
-    pieces = enumerate_maximal_pieces(g, kind)
-    max_size = pieces[0].bit_count()
+    full = g.full_mask
     if mode == "cover":
+        pieces = enumerate_maximal_pieces(g, kind)
+        max_size = pieces[0].bit_count()
         by_vertex = [[m for m in pieces if m >> v & 1] for v in range(g.order)]
 
         def branch(u: int) -> Iterable[int]:
             v = min(bits(u), key=lambda w: len(by_vertex[w]))
             return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
     else:
-        at: dict[int, list[int]] = {}
+        if kind is PieceKind.STAR:
+            max_size = _largest_star(g)
+        else:
+            pieces = enumerate_maximal_pieces(g, kind)
+            max_size = pieces[0].bit_count()
+        longest_path = 0
+        if kind is PieceKind.SP_ANY:
+            # every maximal piece of four or more vertices is a path or a star
+            longest_path = next((m.bit_count() for m in pieces if m.bit_count() > 3
+                                 and piece_shape_mask(g, m, PieceKind.PATH)), 3)
+        # v -> [the pieces listed so far, in (-size, mask) order; a
+        # generator of lists of the rest, or None once none are left].
+        # A path kind lists its pieces at once; stars, and the paths that
+        # join them in SP_ANY, come one size class at a time, when read.
+        at: dict[int, list] = {}
 
         def branch(u: int) -> Iterable[int]:
             v = (u & -u).bit_length() - 1
-            if v not in at:
-                at[v] = pieces_at(g, g.full_mask >> v << v, v, kind)
-            return (m for m in at[v] if m & u == m)
+            entry = at.get(v)
+            if entry is None:
+                within = full >> v << v
+                if kind is PieceKind.STAR or kind is PieceKind.SP_ANY:
+                    entry = [[], _star_classes(g, within, v, max_size, longest_path)]
+                else:
+                    entry = [pieces_at(g, within, v, kind), None]
+                at[v] = entry
+            if entry[1] is None:
+                return (m for m in entry[0] if m & u == m)
+            return read(entry, u)
 
-    incumbent, u = [], g.full_mask
+        def read(entry: list, u: int) -> Iterator[int]:
+            listed, n = entry[0], 0
+            while True:
+                if n == len(listed):
+                    cls = None if entry[1] is None else next(entry[1], None)
+                    if cls is None:
+                        entry[1] = None
+                        return
+                    listed += cls
+                chunk = listed[n:]
+                n += len(chunk)
+                for m in chunk:
+                    if m & u == m:
+                        yield m
+
+    incumbent, u = [], full
     while u:
         m = next(iter(branch(u)))
         incumbent.append(m)
@@ -288,20 +398,23 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
         if deadline.expired():
             raise _TimeUp()
         best: Optional[tuple[int, tuple[int, ...]]] = None
+        floor = -(-u.bit_count() // max_size)
         for m in branch(u):
             rest = u & ~m
             if best is not None and 1 + -(-rest.bit_count() // max_size) >= best[0]:
-                continue
+                break
             val, seq = solve(rest)
             if best is None or 1 + val < best[0]:
                 best = (1 + val, (m,) + seq)
-                if u == g.full_mask and best[0] < len(incumbent):
+                if u == full and best[0] < len(incumbent):
                     incumbent = best[1]
+                if best[0] == floor:
+                    break
         memo[u] = best
         return best
 
     try:
-        val, masks = solve(g.full_mask)
+        val, masks = solve(full)
         optimal = True
     except _TimeUp:
         val, masks, optimal = -(-g.order // max_size), incumbent, False
@@ -310,6 +423,39 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     del solve
     return PieceCertificate(kind, mode, tuple(tuple(bits(m)) for m in masks),
                             optimal, val)
+
+
+def _star_classes(g: Graph, within: int, v: int, max_size: int,
+                  longest_path: int) -> Iterator[list[int]]:
+    """The stars through v inside `within`, one size class at a time,
+    largest first, each sorted by mask; with a positive `longest_path`,
+    merged with the induced paths through v.
+
+    Each star class comes from its own `pieces_at` call, made when the
+    class before it has been read.  A star through v has its centre in
+    N[v], so its order is at most one more than the most neighbours such
+    a centre has inside `within`.  The paths are walked in one
+    `pieces_at` call, made when the first class of at most `longest_path`
+    vertices is read: no induced path is longer.
+    """
+    top = min(max_size, 1 + max((g.adj[c] & within).bit_count()
+                                for c in bits(within & (g.adj[v] | 1 << v))))
+    paths: Optional[dict[int, list[int]]] = None
+    for k in range(max(top, longest_path), 0, -1):
+        if k <= longest_path and paths is None:
+            paths = {}
+            for m in pieces_at(g, within, v, PieceKind.PATH):
+                paths.setdefault(m.bit_count(), []).append(m)
+        if paths is not None and k <= 3:
+            # stars of up to three vertices are paths: list the rest at once
+            yield [m for j in (3, 2, 1) for m in paths.get(j, ())]
+            return
+        cls = pieces_at(g, within, v, PieceKind.STAR, k) if k <= top else []
+        if paths is not None and k in paths:
+            # a path of four or more vertices is no star
+            cls = sorted(cls + paths[k])
+        if cls:
+            yield cls
 
 
 def min_cover(g: Graph, kind: PieceKind,

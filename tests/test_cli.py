@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -202,6 +203,17 @@ def test_solve_too_deep_exits_5(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path), "--invariants", "inspc")
     assert code == 5 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_solve_large_star_partition_from_stdin(monkeypatch, capsys):
+    # `coverlab gen star:1100 | coverlab solve - --invariants insp`
+    code, graph, _ = run(capsys, "gen", "star:1100")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(graph))
+    code, out, err = run(capsys, "solve", "-", "--invariants", "insp")
+    assert code == 0 and err == ""
+    report = json.loads(out)["invariants"]["insp"]
+    assert (report["value"], report["optimal"]) == (1, True)
 
 
 def test_verify_jobs(capsys):

@@ -1,11 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coverlab.errors import EmptyPiece, IndexOutOfRange, SelfLoop
 from coverlab.graph import (Graph, PieceKind, bfs_layering, bits, build_graph,
                             connected_components, diameter, dist, eccentricity,
                             is_clique, is_connected, is_independent, mask_of,
                             piece_shape, piece_shape_mask)
+from coverlab.graph import _star_center
 from coverlab import generators as gen
+
+
+@st.composite
+def graphs(draw, max_order=9):
+    n = draw(st.integers(0, max_order))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def test_mask_and_bits_roundtrip():
@@ -117,3 +127,38 @@ def test_sp_any_accepts_both():
     assert piece_shape(gen.star(3), range(4), PieceKind.SP_ANY)
     assert piece_shape(gen.path(4), range(4), PieceKind.SP_ANY)
     assert not piece_shape(gen.cycle(4), range(4), PieceKind.SP_ANY)
+
+
+def star_center_reference(g, mask):
+    """Every vertex of mask tried as the centre, in ascending order."""
+    for c in bits(mask):
+        rest = mask & ~(1 << c)
+        if g.adj[c] & mask == rest and is_independent(g, rest):
+            return c
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(graphs(), st.data())
+def test_star_center_matches_reference(g, data):
+    mask = data.draw(st.integers(0, g.full_mask))
+    assert _star_center(g, mask) == star_center_reference(g, mask)
+
+
+def to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs())
+def test_diameter_and_components_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = to_networkx(nx, g)
+    assert connected_components(g) == sorted(sorted(c) for c in nx.connected_components(h))
+    if g.order and nx.is_connected(h):
+        assert diameter(g) == nx.diameter(h)
+    else:
+        assert diameter(g) is None

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from coverlab import cli, generators as gen, solvers
 from coverlab.errors import Disconnected
-from coverlab.graph import (PieceKind, bits, build_graph, is_independent,
-                            mask_of, piece_shape_mask)
+from coverlab.graph import (PieceKind, bits, build_graph, connected_components,
+                            is_independent, mask_of, piece_shape_mask)
 from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
                               chromatic_coloring, chromatic_number,
                               clique_number, enumerate_maximal_pieces,
@@ -323,3 +323,86 @@ def test_known_small_values():
     # deeper than the recursion limit: path pieces grow on an explicit stack
     assert invariant_value(gen.path(1100), "inpp").value == 1
     assert min_partition(gen.star(4), PieceKind.PATH).value == 3
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.data())
+def test_independent_subsets_match_brute_force(g, data):
+    within = data.draw(st.integers(0, g.full_mask))
+    brute = [m for m in range(1 << g.order) if m & within == m and is_independent(g, m)]
+    assert sorted(solvers._independent_subsets(g, within)) == brute
+    for k in range(-1, g.order + 2):
+        assert sorted(solvers._independent_subsets(g, within, k)) == [
+            m for m in brute if m.bit_count() == k], k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.data())
+def test_pieces_at_size_is_a_slice(g, data):
+    within = data.draw(st.integers(1, g.full_mask))
+    v = data.draw(st.sampled_from(list(bits(within))))
+    for kind in PieceKind:
+        every = pieces_at(g, within, v, kind)
+        for k in range(g.order + 2):
+            assert pieces_at(g, within, v, kind, k) == [
+                m for m in every if m.bit_count() == k], (kind, k)
+
+
+def largest_star_by_brute_force(g):
+    return max(m.bit_count() for m in brute_pieces(g, PieceKind.STAR))
+
+
+def test_largest_star_matches_brute_force_named():
+    for name, g in NAMED_GRAPHS:
+        assert solvers._largest_star(g) == largest_star_by_brute_force(g), name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_largest_star_matches_brute_force_random(g):
+    assert solvers._largest_star(g) == largest_star_by_brute_force(g)
+
+
+def star_centre_last(k):
+    """K_1,k with leaves 0..k-1 and centre k."""
+    return build_graph(k + 1, [(i, k) for i in range(k)])
+
+
+@pytest.mark.parametrize("name", ["insp", "inspp"])
+@pytest.mark.parametrize("g", [gen.star(20), star_centre_last(20)],
+                         ids=["centre-first", "centre-last"])
+def test_partition_of_a_large_star_lists_few_pieces(monkeypatch, g, name):
+    returned = []
+
+    def counted(*args, pieces_at=solvers.pieces_at):
+        out = pieces_at(*args)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(solvers, "pieces_at", counted)
+    cert = invariant_value(g, name)
+    assert (cert.value, cert.optimal) == (1, True)
+    assert validate_certificate(g, cert)
+    assert returned and sum(returned) < 100
+
+
+# small_graphs draws each edge independently, so many of these graphs
+# are disconnected
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_order=8))
+def test_invariants_validate_and_order(g):
+    for kind in PieceKind:
+        cover, partition = min_cover(g, kind), min_partition(g, kind)
+        for cert in (cover, partition):
+            assert cert.optimal and cert.lower_bound == cert.value
+            assert validate_certificate(g, cert)
+        assert cover.value <= partition.value, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_order=8))
+def test_invariants_add_over_components(g):
+    parts = [g.subgraph(comp) for comp in connected_components(g)]
+    for name in INVARIANT_SPECS:
+        assert invariant_value(g, name).value == sum(
+            invariant_value(h, name).value for h in parts), name
