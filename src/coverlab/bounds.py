@@ -84,7 +84,7 @@ def _has_clique_in(rows: list[int], within: int, size: int) -> bool:
     return False
 
 
-def _has_independent_in(rows: list[int], full: int, within: int, size: int) -> bool:
+def _has_independent_in(rows: list[int], within: int, size: int) -> bool:
     if size == 0:
         return True
     if within.bit_count() < size:
@@ -94,7 +94,7 @@ def _has_independent_in(rows: list[int], full: int, within: int, size: int) -> b
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        if _has_independent_in(rows, full, m & ~rows[v], size - 1):
+        if _has_independent_in(rows, m & ~rows[v], size - 1):
             return True
     return False
 
@@ -119,7 +119,7 @@ def _good_graph_exists(s: int, t: int, order: int,
         if _has_clique_in(rows, mask, s - 1):
             return False
         prev = (1 << k) - 1
-        if _has_independent_in(rows, prev, prev & ~mask, t - 1):
+        if _has_independent_in(rows, prev & ~mask, t - 1):
             return False
         return True
 

@@ -19,7 +19,7 @@ from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      InternalInvariantBroken, PathTooLong, StarTooLarge)
 from .graph import (BfsLayering, Graph, PieceKind, bfs_layering, bits,
                     is_connected, mask_of, piece_shape_mask)
-from .iso import ForbiddenFamily, freeness_witness
+from .iso import ForbiddenFamily, freeness_witness, target_family
 from .solvers import (PieceCertificate, chromatic_coloring,
                       min_dominating_set, validate_certificate)
 
@@ -518,13 +518,12 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
     if sum(len(l) for l in lay.layers) != g.order:
         raise Disconnected("input must be connected")
     if mode == "cover":
-        family = (gen.complete(n), gen.s_star(n), gen.f1(n), gen.f2(n), gen.f3(n))
+        family = target_family("inspc", n)
         algorithm = "sp_cover_construct"
     else:
-        family = (gen.complete(n), gen.s_star(n), gen.s_tilde(n), gen.f1(n),
-                  gen.f2(n), gen.f4(n), gen.f5(n))
+        family = target_family("inspp", n)
         algorithm = "sp_partition_construct"
-    _check_free(g, family)
+    _check_free(g, family.members)
 
     d = lay.depth
     bound_note = BoundValue(None, Status.UPPER_BOUND_ONLY,
@@ -577,10 +576,8 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
         "bands": band_logs,
         "blocks": block_logs,
     }
-    kind = PieceKind.SP_ANY
-    cert_mode = "cover" if mode == "cover" else "partition"
-    return _finish(g, g.full_mask, algorithm, n, intermediate, kind,
-                   cert_mode, pieces, bound_note)
+    return _finish(g, g.full_mask, algorithm, n, intermediate, PieceKind.SP_ANY,
+                   mode, pieces, bound_note)
 
 
 def sp_cover_construct(g: Graph, n: int, root: int = 0) -> ConstructionTrace:

@@ -74,7 +74,6 @@ def from_graph6(s: str) -> Graph:
         raise FormatError(
             f"graph6 body length {len(body)} does not match order {n}")
     edges = []
-    bit = 0
     for ch in body:
         c = ord(ch) - 63
         if not 0 <= c <= 63:

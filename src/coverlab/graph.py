@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EmptyPiece, IndexOutOfRange, SelfLoop
@@ -81,6 +82,13 @@ class Graph:
 
     def degree_sequence(self) -> list[int]:
         return sorted((self.degree(v) for v in range(self.order)), reverse=True)
+
+    @cached_property
+    def rings(self) -> tuple[tuple[int, ...], ...]:
+        """rings[v][d]: the mask of vertices at distance d from v, with
+        one empty ring past the last layer; built once per graph."""
+        return tuple(tuple(mask_of(layer) for layer in bfs_layering(self, v).layers)
+                     + (0,) for v in range(self.order))
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in the given vertex order."""

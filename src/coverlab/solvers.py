@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import Disconnected
-from .graph import (Graph, PieceKind, bfs_layering, bits, is_connected,
-                    mask_of, piece_shape_mask)
+from .graph import (Graph, PieceKind, bits, is_connected, mask_of,
+                    piece_shape_mask)
 from . import generators as gen
 
 # invariant name -> (piece kind, mode)
@@ -132,23 +132,29 @@ def _largest_star(g: Graph) -> int:
     return best
 
 
-def _maximal_independent_sets(g: Graph, within: int):
-    """Bron-Kerbosch on the subgraph induced by `within`, with a pivot."""
-    out = []
+def _maximal_independent_sets(g: Graph, within: int) -> list[int]:
+    """Bron-Kerbosch on the subgraph induced by `within`, with a pivot,
+    on an explicit stack.
 
-    def bk(r: int, p: int, x: int):
+    The branch on the i-th candidate v drops the candidates before it
+    from p and moves them to x, which does not depend on what the
+    branches before it found, so all of a node's branches are pushed at
+    once.
+    """
+    adj, out = g.adj, []
+    stack = [(0, within, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(r)
-            return
+            continue
         # a set avoiding the pivot u and its neighbours could still take u
-        u = min(bits(p | x), key=lambda w: (p & (g.adj[w] | 1 << w)).bit_count())
-        for v in list(bits(p & (g.adj[u] | 1 << u))):
+        u = min(bits(p | x), key=lambda w: (p & (adj[w] | 1 << w)).bit_count())
+        for v in bits(p & (adj[u] | 1 << u)):
             p &= ~(1 << v)
-            keep = ~g.adj[v] & ~(1 << v)
-            bk(r | 1 << v, p & keep, x & keep)
+            keep = ~adj[v] & ~(1 << v)
+            stack.append((r | 1 << v, p & keep, x & keep))
             x |= 1 << v
-
-    bk(0, within, 0)
     return out
 
 
@@ -169,44 +175,44 @@ def _maximal_stars(g: Graph) -> set[int]:
     return out
 
 
-def _rings(g: Graph) -> list[list[int]]:
-    """ring[v][d]: the vertices at distance d from v; empty past the last layer."""
-    return [[mask_of(layer) for layer in bfs_layering(g, v).layers] + [0]
-            for v in range(g.order)]
+def _paths_at(g: Graph, within: int, v: int,
+              ring: Optional[Sequence[Sequence[int]]]) -> tuple[list[int], list[int]]:
+    """The induced paths inside `within` that contain v, each once, and
+    those of them that extend at neither end in g.  Given g's distance
+    rings, only the isometric paths.
 
-
-def _maximal_paths(g: Graph, isometric: bool) -> list[int]:
-    """Inclusion-maximal induced (or isometric) paths, each once.
-
-    A path lies in a larger one of its kind only as a contiguous segment,
-    so it is maximal when it extends at neither end.  The search from
-    `start` grows the path at `last` and keeps a leaf that does not extend
-    at `start` either, from its smaller end.  An induced path extends at
-    `last` by a neighbour outside `mask | near`, and at `start` by one
-    outside `mask | far`, where `near` and `far` are the neighbours of the
-    path without `last` and without `start`.  An isometric path of k
-    vertices extends by a neighbour at distance k from the other end.
+    A path through v is a left arm from v, then a right arm from v.  The
+    left arm grows first; the right arm starts only once the left one
+    has, and only at a neighbour of v above the left arm's first vertex
+    `a`, so each path is reached in one orientation.  A path with ends l
+    and r grows at l by a neighbour outside the path that sees none of
+    its other vertices: none of r's neighbours, and none of `inner`, the
+    neighbours of the vertices between the ends.  An isometric path of k
+    vertices grows at l by a neighbour at distance k from r.  A path
+    lies in a larger one of its kind only as a contiguous segment, so it
+    is maximal when it grows at neither end in g.
     """
     adj = g.adj
-    ring = _rings(g) if isometric else None
-    out = []
-    for start in range(g.order):
-        stack = [(start, 1 << start, 0, 0)]
-        while stack:
-            last, mask, near, far = stack.pop()
-            if isometric:
-                k = mask.bit_count()
-                ext, back = adj[last] & ring[start][k], adj[start] & ring[last][k]
-            else:
-                ext, back = adj[last] & ~(mask | near), adj[start] & ~(mask | far)
-            if not ext:
-                if start <= last and not back:
-                    out.append(mask)
-                continue
-            near |= adj[last]
-            for w in bits(ext):
-                stack.append((w, mask | 1 << w, near, far | adj[w]))
-    return out
+    paths, maximal = [1 << v], ([] if adj[v] else [1 << v])
+    stack = [(w, v, 1 << v | 1 << w, 0, w) for w in bits(adj[v] & within)]
+    while stack:
+        l, r, mask, inner, a = stack.pop()
+        paths.append(mask)
+        if ring is None:
+            free = ~mask & ~inner
+            grow_l, grow_r = adj[l] & free & ~adj[r], adj[r] & free & ~adj[l]
+        else:
+            k = mask.bit_count()
+            grow_l, grow_r = adj[l] & ring[r][k], adj[r] & ring[l][k]
+        if not grow_l and not grow_r:
+            maximal.append(mask)
+        if r == v:  # no right arm yet: grow the left one, or start one above a
+            for w in bits(grow_l & within):
+                stack.append((w, r, mask | 1 << w, inner | adj[l], a))
+            grow_r &= ~((2 << a) - 1)
+        for w in bits(grow_r & within):
+            stack.append((l, w, mask | 1 << w, inner | adj[r], a))
+    return paths, maximal
 
 
 def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
@@ -216,17 +222,20 @@ def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
     For covers only maximal pieces matter: any cover piece may be grown
     to a maximal one without breaking the cover.
     """
+    if not isinstance(kind, PieceKind):
+        raise ValueError(f"unknown kind {kind!r}")
     if kind is PieceKind.STAR:
         cand = _maximal_stars(g)
-    elif kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH:
-        cand = _maximal_paths(g, kind is PieceKind.ISOMETRIC_PATH)
-    elif kind is PieceKind.SP_ANY:
-        # K_1, K_2 and P_3 are of both shapes: keep them if maximal as each
-        stars, paths = _maximal_stars(g), set(_maximal_paths(g, False))
-        cand = {m for m in stars | paths
-                if m.bit_count() > 3 or (m in stars and m in paths)}
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        # each path is walked once: from its least vertex v, inside V>=v
+        ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
+        cand = [m for v in range(g.order)
+                for m in _paths_at(g, g.full_mask >> v << v, v, ring)[1]]
+    if kind is PieceKind.SP_ANY:
+        # K_1, K_2 and P_3 are of both shapes: keep them if maximal as each
+        stars, paths = _maximal_stars(g), set(cand)
+        cand = [m for m in stars | paths
+                if m.bit_count() > 3 or (m in stars and m in paths)]
     return sorted(cand, key=lambda m: (-m.bit_count(), m))
 
 
@@ -251,43 +260,6 @@ def _star_masks_at(g: Graph, within: int, v: int,
     return out
 
 
-def _path_masks_at(g: Graph, within: int, v: int, isometric: bool) -> set[int]:
-    """Induced (or isometric) path vertex sets containing v inside `within`.
-
-    Each path grows from v at its `last` end, and also at its `left` end
-    while `grow_left` holds; a path that has grown at `last` stops growing
-    at `left`, so every path is reached by left steps, then right steps.
-    An induced path grows at one end by a vertex that sees no other path
-    vertex: none outside `inner`, the neighbours of the vertices between
-    the ends, and none of the other end's.  An isometric path of k
-    vertices grows by a neighbour at distance k from its other end, on
-    the rings `_maximal_paths` uses.
-    """
-    adj = g.adj
-    ring = _rings(g) if isometric else None
-    out: set[int] = set()
-    stack = [(v, v, 1 << v, True, 0)]
-    while stack:
-        left, last, mask, grow_left, inner = stack.pop()
-        out.add(mask)
-        if isometric:
-            k = mask.bit_count()
-            right, back = ring[left][k] & within, ring[last][k] & within
-        elif left == last:
-            right = back = within
-        else:
-            free = within & ~mask & ~inner
-            right, back = free & ~adj[left], free & ~adj[last]
-        for w in bits(adj[last] & right):
-            stack.append((left, w, mask | 1 << w, False,
-                          inner if left == last else inner | adj[last]))
-        if grow_left:
-            for w in bits(adj[left] & back):
-                stack.append((w, last, mask | 1 << w, True,
-                              inner if left == last else inner | adj[left]))
-    return out
-
-
 def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
               size: Optional[int] = None) -> list[int]:
     """The piece vertex sets containing v inside `within`, sorted by
@@ -298,8 +270,9 @@ def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
     if kind is PieceKind.STAR or kind is PieceKind.SP_ANY:
         cand = _star_masks_at(g, within, v, size)
     if kind is not PieceKind.STAR:
-        paths = _path_masks_at(g, within, v, kind is PieceKind.ISOMETRIC_PATH)
-        cand |= paths if size is None else {m for m in paths if m.bit_count() == size}
+        ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
+        cand.update(m for m in _paths_at(g, within, v, ring)[0]
+                    if size is None or m.bit_count() == size)
     return sorted(cand, key=lambda m: (-m.bit_count(), m))
 
 

@@ -206,14 +206,16 @@ def test_solve_too_deep_exits_5(tmp_path, capsys):
 
 
 def test_solve_large_star_partition_from_stdin(monkeypatch, capsys):
-    # `coverlab gen star:1100 | coverlab solve - --invariants insp`
+    # `coverlab gen star:1100 | coverlab solve - --invariants insp,insc`;
+    # insc's maximal stars come from a Bron-Kerbosch run 1100 leaves deep
     code, graph, _ = run(capsys, "gen", "star:1100")
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(graph))
-    code, out, err = run(capsys, "solve", "-", "--invariants", "insp")
+    code, out, err = run(capsys, "solve", "-", "--invariants", "insp,insc")
     assert code == 0 and err == ""
-    report = json.loads(out)["invariants"]["insp"]
-    assert (report["value"], report["optimal"]) == (1, True)
+    for name in ("insp", "insc"):
+        report = json.loads(out)["invariants"][name]
+        assert (report["value"], report["optimal"]) == (1, True), name
 
 
 def test_verify_jobs(capsys):

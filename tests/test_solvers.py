@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import pkgutil
 import random
 from itertools import combinations, count
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coverlab import cli, generators as gen, solvers
+import coverlab
+from coverlab import cli, generators as gen, graph, solvers
 from coverlab.errors import Disconnected
 from coverlab.graph import (PieceKind, bits, build_graph, connected_components,
                             is_independent, mask_of, piece_shape_mask)
@@ -123,6 +125,24 @@ def test_timeout_budget_includes_enumeration(monkeypatch, solve):
     assert cert.lower_bound <= cert.value
 
 
+def test_distance_rings_built_once_per_graph(monkeypatch):
+    # ispp needs g's distance rings for its maximal pieces and for the
+    # pieces through every least vertex: one BFS per vertex in all
+    g = gen.random_connected(14, 0.3, random.Random(5))
+    real, calls = graph.bfs_layering, []
+
+    def counted(h, root):
+        calls.append(root)
+        return real(h, root)
+
+    for info in pkgutil.iter_modules(coverlab.__path__):
+        mod = importlib.import_module(f"coverlab.{info.name}")
+        if getattr(mod, "bfs_layering", None) is real:
+            monkeypatch.setattr(mod, "bfs_layering", counted)
+    assert invariant_value(g, "ispp").optimal
+    assert 0 < len(calls) <= g.order
+
+
 def test_timeout_returns_best_root_solution(monkeypatch):
     g = gen.random_connected(7, 0.4, random.Random(11))
 
@@ -159,6 +179,11 @@ def check_maximal_pieces(g):
         for v in range(g.order):
             assert pieces_at(g, g.full_mask >> v << v, v, kind) == by_size(
                 m for m in shaped if m & -m == 1 << v), (kind, v)
+    # the path walker reaches each path through v once, in one orientation
+    for ring in (None, g.rings):
+        for v in range(g.order):
+            paths = solvers._paths_at(g, g.full_mask, v, ring)[0]
+            assert len(paths) == len(set(paths)), (ring is None, v)
 
 
 def broom(handle, bristles):
