@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -103,8 +102,7 @@ class SearchBudgetExceeded(Exception):
     pass
 
 
-def _good_graph_exists(s: int, t: int, order: int,
-                       deadline: Optional[float]) -> Optional[list[int]]:
+def _good_graph_exists(s: int, t: int, order: int) -> Optional[list[int]]:
     """Search for a graph on `order` vertices with no K_s and no I_t.
 
     Returns adjacency rows of a witness, or None after exhausting the
@@ -124,8 +122,6 @@ def _good_graph_exists(s: int, t: int, order: int,
         return True
 
     def extend(k: int) -> Optional[list[int]]:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchBudgetExceeded()
         if k == order:
             return list(rows)
         for mask in range(1 << k):
@@ -156,20 +152,15 @@ def _good_graph_exists(s: int, t: int, order: int,
     return extend(0)
 
 
-def ramsey_exact_search(s: int, t: int, max_order: int = 9,
-                        time_budget: Optional[float] = None) -> int:
+def ramsey_exact_search(s: int, t: int, max_order: int = 9) -> int:
     """R(s,t) by exhaustive search: least N with no (K_s, I_t)-avoiding graph.
 
-    Raises SearchBudgetExceeded if the answer exceeds max_order or the
-    time budget runs out.
+    Raises SearchBudgetExceeded if the answer exceeds max_order.
     """
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-    for order in range(1, max_order + 2):
-        if order > max_order:
-            raise SearchBudgetExceeded(f"R({s},{t}) > {max_order}")
-        if _good_graph_exists(s, t, order, deadline) is None:
+    for order in range(1, max_order + 1):
+        if _good_graph_exists(s, t, order) is None:
             return order
-    raise SearchBudgetExceeded()
+    raise SearchBudgetExceeded(f"R({s},{t}) > {max_order}")
 
 
 _search_cache: dict[tuple[int, int], int] = {}
@@ -179,8 +170,7 @@ def binomial_bound(s: int, t: int) -> int:
     return math.comb(s + t - 2, s - 1)
 
 
-def ramsey(s: int, t: int, max_search_order: int = 6,
-           time_budget: Optional[float] = None) -> BoundValue:
+def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
     """R(s,t) with the strongest status obtainable within the search budget.
 
     Trivial identities and completed searches give EXACT; the embedded
@@ -203,8 +193,7 @@ def ramsey(s: int, t: int, max_search_order: int = 6,
     hint = table.get((s, t))
     if hint is not None and hint <= max_search_order:
         try:
-            v = ramsey_exact_search(s, t, max_order=max_search_order,
-                                    time_budget=time_budget)
+            v = ramsey_exact_search(s, t, max_order=max_search_order)
         except SearchBudgetExceeded:
             return BoundValue(hint, Status.TABLE_EXACT,
                               note="search budget exceeded; table value")

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import generators as gen
 from .bounds import BoundValue, Status, xi_value
 from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      InternalInvariantBroken, PathTooLong, StarTooLarge)
 from .graph import (BfsLayering, Graph, PieceKind, bfs_layering, bits,
-                    is_connected, mask_of, piece_shape_mask)
+                    certificate_fault, is_connected, mask_of, piece_shape_mask)
 from .iso import ForbiddenFamily, freeness_witness, target_family
 from .solvers import (PieceCertificate, chromatic_coloring,
                       min_dominating_set, validate_certificate)
@@ -70,15 +70,9 @@ def _finish(g: Graph, domain: int, algorithm: str, n: int,
             claimed: BoundValue) -> ConstructionTrace:
     """Validate a `mode` ("cover" or "partition") of g[domain] by pieces
     of `kind`, given as masks in g's labels, and wrap it in a trace."""
-    total = 0
-    for m in masks:
-        if mode == "partition" and total & m:
-            raise InternalInvariantBroken(f"{algorithm}: pieces overlap")
-        if not piece_shape_mask(g, m, kind):
-            raise InternalInvariantBroken(f"{algorithm}: piece is not a {kind.value}")
-        total |= m
-    if total != domain:
-        raise InternalInvariantBroken(f"{algorithm}: pieces miss part of the domain")
+    fault = certificate_fault(g, domain, kind, mode, masks)
+    if fault is not None:
+        raise InternalInvariantBroken(f"{algorithm}: {fault}")
     pieces = tuple(tuple(bits(m)) for m in masks)
     cert = PieceCertificate(kind, mode, pieces, False, 1 if domain else 0)
     if claimed.value is not None and cert.value > claimed.value:
@@ -593,27 +587,34 @@ def sp_partition_construct(g: Graph, n: int, root: int = 0) -> ConstructionTrace
 # -- certificate conversions -------------------------------------------
 
 
+def _keep_kind(g: Graph, cert: PieceCertificate, keep: PieceKind, limit: int,
+               too_big: Callable[[int], Exception]) -> PieceCertificate:
+    """Keep the pieces of kind `keep` and split every other piece into
+    singletons; a piece of more than `limit` vertices raises
+    `too_big(its size)` instead."""
+    if not validate_certificate(g, cert):
+        raise BadInput("certificate does not validate")
+    out: list[tuple[int, ...]] = []
+    for piece in cert.pieces:
+        if piece_shape_mask(g, mask_of(piece), keep):
+            out.append(piece)
+        elif len(piece) > limit:
+            raise too_big(len(piece))
+        else:
+            out.extend((v,) for v in piece)
+    return PieceCertificate(keep, cert.mode, tuple(out), False,
+                            1 if g.order else 0)
+
+
 def cover_to_star_cover(g: Graph, cert: PieceCertificate, n: int) -> PieceCertificate:
     """Replace path pieces by singletons; sound when long paths are forbidden.
 
     Pieces that are stars (including P_1/P_2/P_3, which are both) are
     kept as stars.
     """
-    if not validate_certificate(g, cert):
-        raise BadInput("certificate does not validate")
-    out: list[tuple[int, ...]] = []
-    for piece in cert.pieces:
-        mask = mask_of(piece)
-        if piece_shape_mask(g, mask, PieceKind.STAR):
-            out.append(piece)
-            continue
-        if len(piece) >= n:
-            raise PathTooLong(
-                f"path piece with {len(piece)} vertices in a graph meant "
-                f"to have no {n}-vertex induced path")
-        out.extend((v,) for v in piece)
-    return PieceCertificate(PieceKind.STAR, cert.mode, tuple(out), False,
-                            1 if g.order else 0)
+    return _keep_kind(g, cert, PieceKind.STAR, n - 1, lambda k: PathTooLong(
+        f"path piece with {k} vertices in a graph meant "
+        f"to have no {n}-vertex induced path"))
 
 
 def cover_to_path_cover(g: Graph, cert: PieceCertificate, n: int) -> PieceCertificate:
@@ -621,18 +622,6 @@ def cover_to_path_cover(g: Graph, cert: PieceCertificate, n: int) -> PieceCertif
 
     Pieces that are paths (including P_1/P_2/P_3) are kept as paths.
     """
-    if not validate_certificate(g, cert):
-        raise BadInput("certificate does not validate")
-    out: list[tuple[int, ...]] = []
-    for piece in cert.pieces:
-        mask = mask_of(piece)
-        if piece_shape_mask(g, mask, PieceKind.PATH):
-            out.append(piece)
-            continue
-        if len(piece) > n + 1:
-            raise StarTooLarge(
-                f"star piece with {len(piece)} vertices in a graph meant "
-                f"to have no induced {n}-leaf star")
-        out.extend((v,) for v in piece)
-    return PieceCertificate(PieceKind.PATH, cert.mode, tuple(out), False,
-                            1 if g.order else 0)
+    return _keep_kind(g, cert, PieceKind.PATH, n + 1, lambda k: StarTooLarge(
+        f"star piece with {k} vertices in a graph meant "
+        f"to have no induced {n}-leaf star"))

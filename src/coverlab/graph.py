@@ -245,30 +245,25 @@ def _star_center(g: Graph, mask: int) -> Optional[int]:
 
 
 def _path_order(g: Graph, mask: int) -> Optional[list[int]]:
-    """Vertices of mask in path order if g[mask] is an induced path."""
-    verts = list(bits(mask))
-    k = len(verts)
-    if k == 1:
-        return verts
-    degs = {v: (g.adj[v] & mask).bit_count() for v in verts}
-    ends = [v for v in verts if degs[v] == 1]
-    if len(ends) != 2 or any(degs[v] > 2 for v in verts):
+    """Vertices of mask in path order, from the lower end, if g[mask] is
+    an induced path.  One walk: from the least vertex with at most one
+    neighbour in mask, step to the one unvisited neighbour; give up at a
+    vertex with three, and accept only if the walk visits all of mask."""
+    adj = g.adj
+    cur = next((v for v in bits(mask) if (adj[v] & mask).bit_count() <= 1), None)
+    if cur is None:
         return None
-    # walk from the lower endpoint; a cycle component would have no ends
-    order = [min(ends)]
-    prev = -1
-    cur = order[0]
-    for _ in range(k - 1):
-        nxt_mask = g.adj[cur] & mask
-        if prev >= 0:
-            nxt_mask &= ~(1 << prev)
-        if not nxt_mask:
+    order, seen = [cur], 1 << cur
+    while True:
+        near = adj[cur] & mask
+        if near.bit_count() > 2:
             return None
-        prev, cur = cur, next(bits(nxt_mask))
+        near &= ~seen
+        if not near:
+            return order if seen == mask else None
+        cur = near.bit_length() - 1
         order.append(cur)
-    if len(set(order)) != k:
-        return None
-    return order
+        seen |= near
 
 
 def piece_shape(g: Graph, vertices: Iterable[int], kind: PieceKind) -> bool:
@@ -287,11 +282,30 @@ def piece_shape_mask(g: Graph, mask: int, kind: PieceKind) -> bool:
     if kind is PieceKind.PATH:
         return _path_order(g, mask) is not None
     if kind is PieceKind.ISOMETRIC_PATH:
+        # the ends of an isometric path of k + 1 vertices lie k apart; a
+        # longer induced path may reach past its end's last ring
         order = _path_order(g, mask)
         if order is None:
             return False
-        d = dist(g, order[0], order[-1])
-        return d is not None and d == len(order) - 1
+        ring, k = g.rings[order[0]], len(order) - 1
+        return k < len(ring) and bool(ring[k] >> order[-1] & 1)
     if kind is PieceKind.SP_ANY:
         return _star_center(g, mask) is not None or _path_order(g, mask) is not None
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def certificate_fault(g: Graph, domain: int, kind: PieceKind, mode: str,
+                      masks: Iterable[int]) -> Optional[str]:
+    """Why `masks` is not a `mode` ("cover" or "partition") of g[domain]
+    by pieces of `kind`, or None when it is one.  An empty piece raises
+    EmptyPiece."""
+    total = 0
+    for m in masks:
+        if mode == "partition" and total & m:
+            return "pieces overlap"
+        if m & ~domain:
+            return "a piece leaves the domain"
+        if not piece_shape_mask(g, m, kind):
+            return f"piece is not a {kind.value}"
+        total |= m
+    return None if total == domain else "pieces miss part of the domain"

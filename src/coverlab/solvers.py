@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import Disconnected
-from .graph import (Graph, PieceKind, bits, is_connected, mask_of,
-                    piece_shape_mask)
+from .graph import (Graph, PieceKind, bits, certificate_fault, is_connected,
+                    mask_of, piece_shape_mask)
 from . import generators as gen
 
 # invariant name -> (piece kind, mode)
@@ -455,16 +455,11 @@ def invariant_value(g: Graph, name: str,
 
 
 def validate_certificate(g: Graph, cert: PieceCertificate) -> bool:
-    """Check shapes and the cover/partition property; raises on bad pieces."""
-    total = 0
-    for piece in cert.pieces:
-        mask = mask_of(piece)
-        if not piece_shape_mask(g, mask, cert.kind):
-            return False
-        if cert.mode == "partition" and total & mask:
-            return False
-        total |= mask
-    return total == g.full_mask
+    """Is cert a cover or partition of V(G) by pieces of its kind?  A
+    piece of the wrong shape, or with a vertex outside V(G), gives False;
+    an empty piece raises EmptyPiece."""
+    return certificate_fault(g, g.full_mask, cert.kind, cert.mode,
+                             map(mask_of, cert.pieces)) is None
 
 
 # -- classical subroutines ---------------------------------------------

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from coverlab import generators as gen
+from coverlab.bounds import BoundValue, Status
 from coverlab.constructive import (_LayeredState, _build_q_paths,
-                                   _check_q_claims, _forest_blocks,
+                                   _check_q_claims, _finish, _forest_blocks,
                                    _index_sets, _nu, _slices,
                                    cover_to_path_cover, cover_to_star_cover,
                                    insc_bounded, insp_bounded,
@@ -125,6 +126,23 @@ def assert_sp_trace_valid(g, trace, partition):
             assert not total & m
         total |= m
     assert total == g.full_mask
+
+
+@pytest.mark.parametrize("domain, kind, mode, masks, claimed, message", [
+    (0b1111, PieceKind.PATH, "partition", [0b0111, 0b1100], None, "pieces overlap"),
+    (0b1111, PieceKind.STAR, "cover", [0b0101, 0b1111], None, "piece is not a star"),
+    (0b1111, PieceKind.PATH, "cover", [0b0011, 0b0110], None,
+     "pieces miss part of the domain"),
+    (0b0111, PieceKind.PATH, "cover", [0b0011, 0b1100], None,
+     "a piece leaves the domain"),
+    (0b1111, PieceKind.PATH, "partition", [0b0011, 0b1100], 1,
+     "size 2 exceeds claimed bound 1"),
+])
+def test_finish_messages(domain, kind, mode, masks, claimed, message):
+    bound = BoundValue(claimed, Status.EXACT if claimed else Status.UPPER_BOUND_ONLY)
+    with pytest.raises(InternalInvariantBroken) as err:
+        _finish(gen.path(4), domain, "alg", 4, {}, kind, mode, masks, bound)
+    assert str(err.value) == f"alg: {message}"
 
 
 def test_long_branch_on_paths():

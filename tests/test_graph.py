@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coverlab.errors import EmptyPiece, IndexOutOfRange, SelfLoop
 from coverlab.graph import (Graph, PieceKind, bfs_layering, bits, build_graph,
                             connected_components, diameter, dist, eccentricity,
                             is_clique, is_connected, is_independent, mask_of,
                             piece_shape, piece_shape_mask)
-from coverlab.graph import _star_center
+from coverlab.graph import _path_order, _star_center
 from coverlab import generators as gen
 
 
@@ -162,3 +162,30 @@ def test_diameter_and_components_match_networkx(g):
         assert diameter(g) == nx.diameter(h)
     else:
         assert diameter(g) is None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(graphs(), st.data())
+def test_piece_shapes_match_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    assume(g.order > 0)
+    mask = data.draw(st.integers(1, g.full_mask))
+    h = to_networkx(nx, g)
+    sub = h.subgraph(bits(mask))
+    k = sub.number_of_nodes()
+    tree = nx.is_tree(sub)
+    star = tree and max(d for _, d in sub.degree) == k - 1
+    path = tree and max(d for _, d in sub.degree) <= 2
+    order = _path_order(g, mask)
+    if path:
+        ends = [v for v, d in sub.degree if d <= 1]
+        assert order[0] == min(ends) and sorted(order) == sorted(sub)
+        assert all(sub.has_edge(a, b) for a, b in zip(order, order[1:]))
+        isometric = nx.shortest_path_length(h, order[0], order[-1]) == k - 1
+    else:
+        assert order is None
+        isometric = False
+    expected = {PieceKind.STAR: star, PieceKind.PATH: path,
+                PieceKind.ISOMETRIC_PATH: isometric, PieceKind.SP_ANY: star or path}
+    for kind, want in expected.items():
+        assert piece_shape_mask(g, mask, kind) == want, kind

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import coverlab
 from coverlab import cli, generators as gen, graph, solvers
-from coverlab.errors import Disconnected
+from coverlab.errors import Disconnected, EmptyPiece
 from coverlab.graph import (PieceKind, bits, build_graph, connected_components,
                             is_independent, mask_of, piece_shape_mask)
 from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
@@ -87,6 +87,13 @@ def test_validate_certificate_negative():
     assert not validate_certificate(g, overlap)
     ok = PieceCertificate(PieceKind.PATH, "cover", ((0, 1, 2), (2, 3)), False, 1)
     assert validate_certificate(g, ok)
+    # a vertex outside V(G) is reported, not looked up
+    for pieces in (((0, 1, 2, 3, 9),), ((9,),)):
+        outside = PieceCertificate(PieceKind.PATH, "cover", pieces, False, 1)
+        assert not validate_certificate(g, outside)
+    with pytest.raises(EmptyPiece):
+        validate_certificate(g, PieceCertificate(PieceKind.PATH, "cover",
+                                                 ((0, 1, 2, 3), ()), False, 1))
 
 
 def test_timeout_returns_incumbent():
@@ -139,7 +146,9 @@ def test_distance_rings_built_once_per_graph(monkeypatch):
         mod = importlib.import_module(f"coverlab.{info.name}")
         if getattr(mod, "bfs_layering", None) is real:
             monkeypatch.setattr(mod, "bfs_layering", counted)
-    assert invariant_value(g, "ispp").optimal
+    # so does validating its certificate, whose isometric test reads them
+    cert = invariant_value(g, "ispp")
+    assert cert.optimal and validate_certificate(g, cert)
     assert 0 < len(calls) <= g.order
 
 
