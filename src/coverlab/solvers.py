@@ -287,9 +287,15 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     first, so the vertices of u left after each are never fewer than
     after the one before: the first candidate cut off by the bound
     ceil(|u| / max_size) ends the node, and so does a solution that meets
-    that bound.  A cover uses maximal pieces only and branches on the
-    vertex of u in the fewest of them.  A partition branches on the least
-    vertex v of u: every vertex of u is at least v, so the pieces inside
+    that bound.  `solve(u, limit)` looks only for solutions of u with
+    fewer than `limit` pieces: it returns the optimum of u if that is
+    below `limit`, and else a lower bound of at least `limit` with no
+    pieces.  The memo keeps either kind of answer; a lower bound too low
+    for a later limit only raises that node's floor.  The root's limit is
+    the size of the incumbent, and each child's is one less than the best
+    its node has found.  A cover uses maximal pieces only and branches on
+    the vertex of u in the fewest of them.  A partition branches on the
+    least vertex v of u: every vertex of u is at least v, so the pieces inside
     u that hold v are those of `pieces_at(g, V>=v, v, kind)` inside u.
     All nodes share their list, and stars join it one size class at a
     time, largest first, only as far as a node reads it.  The incumbent
@@ -305,9 +311,11 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
         pieces = enumerate_maximal_pieces(g, kind)
         max_size = pieces[0].bit_count()
         by_vertex = [[m for m in pieces if m >> v & 1] for v in range(g.order)]
+        # vertices in the fewest pieces first, ties by label
+        fewest = sorted(range(g.order), key=lambda w: len(by_vertex[w]))
 
         def branch(u: int) -> Iterable[int]:
-            v = min(bits(u), key=lambda w: len(by_vertex[w]))
+            v = next(w for w in fewest if u >> w & 1)
             return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
     else:
         if kind is PieceKind.STAR:
@@ -360,34 +368,43 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
         m = next(iter(branch(u)))
         incumbent.append(m)
         u &= ~m
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+    # u -> (optimum, pieces), or (lower bound, None)
+    memo: dict[int, tuple[int, Optional[tuple[int, ...]]]] = {}
 
-    def solve(u: int) -> tuple[int, tuple[int, ...]]:
+    def solve(u: int, limit: int) -> tuple[int, Optional[tuple[int, ...]]]:
         nonlocal incumbent
         if not u:
             return 0, ()
-        if u in memo:
-            return memo[u]
+        floor = -(-u.bit_count() // max_size)
+        hit = memo.get(u)
+        if hit is not None:
+            if hit[1] is not None or hit[0] >= limit:
+                return hit
+            floor = max(floor, hit[0])
+        if floor >= limit:
+            return floor, None
         if deadline.expired():
             raise _TimeUp()
-        best: Optional[tuple[int, tuple[int, ...]]] = None
-        floor = -(-u.bit_count() // max_size)
+        best, seq_best = limit, None
         for m in branch(u):
             rest = u & ~m
-            if best is not None and 1 + -(-rest.bit_count() // max_size) >= best[0]:
+            if 1 + -(-rest.bit_count() // max_size) >= best:
                 break
-            val, seq = solve(rest)
-            if best is None or 1 + val < best[0]:
-                best = (1 + val, (m,) + seq)
-                if u == full and best[0] < len(incumbent):
-                    incumbent = best[1]
-                if best[0] == floor:
+            val, seq = solve(rest, best - 1)
+            # an exact answer from the memo may lie above the child's limit
+            if seq is not None and 1 + val < best:
+                best, seq_best = 1 + val, (m,) + seq
+                if u == full:
+                    incumbent = seq_best
+                if best == floor:
                     break
-        memo[u] = best
-        return best
+        memo[u] = best, seq_best
+        return best, seq_best
 
     try:
-        val, masks = solve(full)
+        val, masks = solve(full, len(incumbent))
+        if masks is None:  # nothing beats the incumbent
+            val, masks = len(incumbent), incumbent
         optimal = True
     except _TimeUp:
         val, masks, optimal = -(-g.order // max_size), incumbent, False

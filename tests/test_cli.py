@@ -197,10 +197,19 @@ def test_verify_count_below_one(capsys, count):
 
 
 def test_solve_too_deep_exits_5(tmp_path, capsys):
-    # the search recurses once per piece: 1100 singletons exceed the limit
+    # 1100 singletons: the bound 1100 meets the first solution, so the
+    # search proves it optimal without recursing
     path = tmp_path / "kbar.txt"
     run(capsys, "gen", "kbar:1100", "--out", str(path))
-    code, out, err = run(capsys, "solve", str(path), "--invariants", "inspc")
+    code, out, _ = run(capsys, "solve", str(path), "--invariants", "inspc")
+    assert code == 0
+    report = json.loads(out)["invariants"]["inspc"]
+    assert (report["value"], report["optimal"]) == (1100, True)
+    # K_1,1100 and 1100 isolated vertices: the bound is 2, and the search
+    # recurses once per singleton after taking the star
+    path = tmp_path / "star_and_kbar.txt"
+    path.write_text("p 2201\n" + "".join(f"0 {i}\n" for i in range(1, 1101)))
+    code, out, err = run(capsys, "solve", str(path), "--invariants", "insp")
     assert code == 5 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -6,10 +6,10 @@ from itertools import combinations, count
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import coverlab
-from coverlab import cli, generators as gen, graph, solvers
+from coverlab import cli, generators as gen, graph, naive, solvers
 from coverlab.errors import Disconnected, EmptyPiece
 from coverlab.graph import (PieceKind, bits, build_graph, connected_components,
                             is_independent, mask_of, piece_shape_mask)
@@ -166,6 +166,16 @@ def test_timeout_returns_best_root_solution(monkeypatch):
     assert validate_certificate(g, cert)
     assert (dive.value, cert.value) == (4, 3)
     assert cert.lower_bound == dive.lower_bound <= cert.value
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_star_cover_order_30_proven(seed):
+    # the search passes each child the budget its node can still use, so
+    # subproblems that cannot beat the node's best stop early
+    g = gen.random_connected(30, 0.25, random.Random(seed))
+    cert = invariant_value(g, "insc", SolveConfig(timeout=5))
+    assert (cert.value, cert.optimal) == (6, True)
+    assert validate_certificate(g, cert)
 
 
 def brute_pieces(g, kind):
@@ -440,3 +450,23 @@ def test_invariants_add_over_components(g):
     for name in INVARIANT_SPECS:
         assert invariant_value(g, name).value == sum(
             invariant_value(h, name).value for h in parts), name
+
+
+# the memo keeps exact optima and lower bounds found under a budget;
+# answers read back under another budget must not change the value.  On
+# the two explicit graphs, taking a child's exact answer from the memo
+# although it is no better than the node's best gives inspp = inpp = 6
+# and insp = 6 where the optima are 4.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_order=9))
+@example(build_graph(9, [(0, 6), (0, 7), (1, 2), (1, 4), (1, 6), (2, 3), (2, 4),
+                         (3, 4), (3, 6), (3, 7), (3, 8), (6, 7), (7, 8)]))
+@example(build_graph(8, [(0, 1), (0, 2), (0, 7), (1, 2), (1, 4), (1, 7), (2, 4),
+                         (4, 5)]))
+def test_budgeted_search_matches_naive(g):
+    for name, (kind, mode) in INVARIANT_SPECS.items():
+        cert = invariant_value(g, name)
+        oracle = (naive.naive_min_cover if mode == "cover"
+                  else naive.naive_min_partition)
+        assert cert.optimal and cert.value == oracle(g, kind), name
+        assert validate_certificate(g, cert), name
