@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation/verification failure, 3 timeout,
-4 input error, 5 resource failure (the input is too large or deep for the
-solver, which ran out of recursion depth).
+Exit codes: 0 success, 2 a check failed (validation or verification, and
+nothing else), 3 timeout, 4 input error (malformed input, a bad argument or
+an out-of-range parameter), 5 resource failure (the input is too large or
+deep for the solver, which ran out of recursion depth).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -67,6 +69,12 @@ def _parse_family(spec: str) -> ForbiddenFamily:
     return ForbiddenFamily(members, name=spec)
 
 
+def _check_timeout(timeout: Optional[float]) -> None:
+    # a NaN deadline would compare false everywhere and never fire
+    if timeout is not None and not math.isfinite(timeout):
+        raise BadParameter(f"--timeout must be a finite number, got {timeout}")
+
+
 # -- commands ----------------------------------------------------------
 
 
@@ -77,6 +85,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_timeout(args.timeout)
     g = _load_graph(args.graph, args.format)
     names = [s.strip() for s in args.invariants.split(",")]
     for name in names:
@@ -161,6 +170,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_convert_cover(args) -> int:
+    _check_timeout(args.timeout)
     g = _load_graph(args.graph, args.format)
     cert = solvers.min_cover(g, PieceKind.SP_ANY,
                              solvers.SolveConfig(timeout=args.timeout))
@@ -180,13 +190,17 @@ def cmd_convert_cover(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.what == "ramsey":
-        bv = bounds_mod.ramsey(args.a, args.b,
-                               max_search_order=args.search_order)
-        print(f"R({args.a},{args.b}) = {bv}")
-        return EXIT_OK
-    table = bounds_mod.paper_constants(args.a, max_digits=args.max_digits,
-                                       c_chi=args.c_chi)
+    if args.what == "ramsey" and args.b is None:
+        raise ParseError("bounds ramsey needs two arguments")
+    try:  # bounds rejects out-of-range parameters with ValueError
+        if args.what == "ramsey":
+            table = {f"R({args.a},{args.b})": bounds_mod.ramsey(
+                args.a, args.b, max_search_order=args.search_order)}
+        else:
+            table = bounds_mod.paper_constants(
+                args.a, max_digits=args.max_digits, c_chi=args.c_chi)
+    except ValueError as exc:
+        raise BadParameter(str(exc)) from None
     for key in sorted(table):
         print(f"{key} = {table[key]}")
     return EXIT_OK
@@ -195,6 +209,8 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     if args.count < 1:
         raise BadParameter(f"--count must be at least 1, got {args.count}")
+    if args.jobs < 1:
+        raise BadParameter(f"--jobs must be at least 1, got {args.jobs}")
     results = verify.SUITES[args.suite](args.seed, args.count, args.jobs)
     failed = 0
     for name, ok in results:
@@ -212,88 +228,120 @@ _suite_lemma41, _suite_lemma42, _suite_theorems = (
 # -- argument parsing --------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="coverlab",
-        description="Induced star/path cover and partition invariants.")
-    sub = top.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ParseError (exit 4) instead
+    of exiting 2; subparsers inherit it as their `parser_class`."""
 
-    def add_common(p, graph=False):
-        p.add_argument("--format", choices=("g6", "edges"), default="edges",
-                       help="graph file format (default: edges)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if graph:
-            p.add_argument("graph", help="graph file, or - for stdin")
+    def error(self, message):
+        raise ParseError(message)
 
-    p = sub.add_parser("gen", help="generate a named graph")
+
+def _add_common(p, graph=False):
+    p.add_argument("--format", choices=("g6", "edges"), default="edges",
+                   help="graph file format (default: edges)")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+    if graph:
+        p.add_argument("graph", help="graph file, or - for stdin")
+
+
+def _gen_args(p):
     p.add_argument("spec", help="family:params, e.g. sstar:3 or h1:2,3")
-    add_common(p)
-    p.set_defaults(fn=cmd_gen)
+    _add_common(p)
 
-    p = sub.add_parser("solve", help="compute invariants exactly")
-    add_common(p, graph=True)
+
+def _solve_args(p):
+    _add_common(p, graph=True)
     p.add_argument("--invariants", default="inspc,inspp",
                    help="comma-separated invariant names")
     p.add_argument("--timeout", type=float, default=None)
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("check-free", help="test forbidden-family freeness")
-    add_common(p, graph=True)
+
+def _check_free_args(p):
+    _add_common(p, graph=True)
     p.add_argument("family", help="target spec like inspc:4, or specs joined by +")
-    p.set_defaults(fn=cmd_check_free)
 
-    p = sub.add_parser("check-order",
-                       help="compare two forbidden families under containment")
+
+def _check_order_args(p):
     p.add_argument("family1")
     p.add_argument("family2")
-    p.set_defaults(fn=cmd_check_order)
 
-    p = sub.add_parser("characterize",
-                       help="least target size dominating a family")
+
+def _characterize_args(p):
     p.add_argument("family")
     p.add_argument("--invariant", choices=INVARIANTS, required=True)
-    p.set_defaults(fn=cmd_characterize)
 
-    p = sub.add_parser("construct", help="run a constructive cover/partition")
-    add_common(p, graph=True)
+
+def _construct_args(p):
+    _add_common(p, graph=True)
     p.add_argument("--mode", choices=("cover", "partition"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--root", type=int, default=0)
-    p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("convert-cover",
-                       help="solve an SP cover and convert it to pure stars/paths")
-    add_common(p, graph=True)
+
+def _convert_cover_args(p):
+    _add_common(p, graph=True)
     p.add_argument("--to", choices=("star", "path"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--timeout", type=float, default=None)
-    p.set_defaults(fn=cmd_convert_cover)
 
-    p = sub.add_parser("bounds", help="Ramsey values and derived constants")
+
+def _bounds_args(p):
     p.add_argument("what", choices=("ramsey", "constants"))
     p.add_argument("a", type=int, help="s (ramsey) or n (constants)")
     p.add_argument("b", type=int, nargs="?", default=None, help="t (ramsey)")
     p.add_argument("--search-order", type=int, default=6)
     p.add_argument("--max-digits", type=int, default=100_000)
     p.add_argument("--c-chi", type=int, default=None)
-    p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_args(p):
     p.add_argument("suite", choices=verify.SUITES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=cmd_verify)
 
+
+# name -> (help, handler, function adding the command's arguments), in the
+# order `coverlab --help` lists them
+COMMANDS = {
+    "gen": ("generate a named graph", cmd_gen, _gen_args),
+    "solve": ("compute invariants exactly", cmd_solve, _solve_args),
+    "check-free": ("test forbidden-family freeness", cmd_check_free,
+                   _check_free_args),
+    "check-order": ("compare two forbidden families under containment",
+                    cmd_check_order, _check_order_args),
+    "characterize": ("least target size dominating a family",
+                     cmd_characterize, _characterize_args),
+    "construct": ("run a constructive cover/partition", cmd_construct,
+                  _construct_args),
+    "convert-cover": ("solve an SP cover and convert it to pure stars/paths",
+                      cmd_convert_cover, _convert_cover_args),
+    "bounds": ("Ramsey values and derived constants", cmd_bounds, _bounds_args),
+    "verify": ("run a verification suite", cmd_verify, _verify_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser for every command, or for `command` alone.  A call runs
+    one command, so `main` builds only its subparser; building all nine
+    took most of the CLI's own time per call."""
+    top = _Parser(
+        prog="coverlab",
+        description="Induced star/path cover and partition invariants.")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_, fn, add_args) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            add_args(p)
+            p.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bounds" and args.what == "ramsey" and args.b is None:
-        parser.error("bounds ramsey needs two arguments")
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
+        args = build_parser(command).parse_args(argv)
         return args.fn(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from multiprocessing import Pool
 
 from . import generators as gen, naive, solvers
 from .graph import Graph, PieceKind
@@ -114,6 +113,8 @@ def seeded(suite: str, seed: int = 0, count: int = 200,
     spread over `jobs` processes."""
     cases = [(suite, s) for s in range(seed, seed + count)]
     if jobs > 1:
+        # imported here, so that only a run with jobs > 1 pays for it
+        from multiprocessing import Pool
         with Pool(jobs) as pool:
             return pool.starmap(_seeded_case, cases)
     return [_seeded_case(*case) for case in cases]

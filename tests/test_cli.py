@@ -1,8 +1,14 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import coverlab
 from coverlab import cli
 from coverlab.formats import from_edge_list, from_graph6
 
@@ -230,3 +236,128 @@ def test_solve_large_star_partition_from_stdin(monkeypatch, capsys):
 def test_verify_jobs(capsys):
     code, out, _ = run(capsys, "verify", "oracle", "--count", "6", "--jobs", "2")
     assert code == 0 and "6/6" in out
+
+
+def test_verify_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "chains", "--count", "1",
+                             "--jobs", jobs)
+        assert code == 4 and out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "convert-cover"])
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "abc"])
+def test_timeout_must_be_finite(tmp_path, capsys, command, timeout):
+    path = tmp_path / "p4.txt"
+    run(capsys, "gen", "p:4", "--out", str(path))
+    extra = ["--to", "star", "--n", "4"] if command == "convert-cover" else []
+    code, out, err = run(capsys, command, str(path), *extra,
+                         f"--timeout={timeout}")
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "ramsey", "0", "0"], "Ramsey arguments must be positive"),
+    (["bounds", "ramsey", "3", "-2"], "Ramsey arguments must be positive"),
+    (["bounds", "constants", "-1"], "n >= 4 required"),
+    (["bounds", "ramsey", "3"], "bounds ramsey needs two arguments"),
+    (["solve", "g.txt", "--timeout", "abc"],
+     "argument --timeout: invalid float value: 'abc'"),
+    (["solve", "g.txt", "--bogus"], "unrecognized arguments: --bogus"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_and_parameter_errors_exit_4(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_same_from_one_command_parser(capsys, command):
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args([command, "--help"])
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit) as one:  # main builds `command` alone
+        cli.main([command, "--help"])
+    assert full.value.code == one.value.code == 0
+    assert capsys.readouterr().out == expected
+    assert expected.startswith(f"usage: coverlab {command} ")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text == cli.build_parser().format_help()
+    assert "{" + ",".join(cli.COMMANDS) + "}" in text
+
+
+def test_import_leaves_out_multiprocessing():
+    src = os.path.dirname(os.path.dirname(coverlab.__file__))
+    probe = "import sys, coverlab.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+# argv drawn from fixed fragments; {graph}, {g6} and {out} are small files,
+# and --count, --jobs and the graphs keep every call to milliseconds
+_NUMBERS = ("-2", "-1", "0", "1", "3", "nan", "inf", "abc")
+_AT_MOST_2 = ("-2", "-1", "0", "1", "2", "nan", "inf", "abc")
+_WORDS = (*cli.COMMANDS, "bogus", "{graph}", "{g6}", "ramsey", "constants",
+          "lemma41", "lemma42", "theorems", "chains", "oracle", "inspc", "insp",
+          "ispp", "--bogus", "-z", "-h", "--n", "--timeout")
+_SPECS = st.builds("{}:{}".format,
+                   st.sampled_from(("inspc", "inpp", "p", "k", "star", "sstar")),
+                   st.sampled_from(_NUMBERS))
+_OPTIONS = st.one_of(
+    st.tuples(st.sampled_from(("--timeout", "--n", "--root", "--seed",
+                               "--search-order", "--max-digits", "--c-chi")),
+              st.sampled_from(_NUMBERS)),
+    st.tuples(st.sampled_from(("--count", "--jobs")), st.sampled_from(_AT_MOST_2)),
+    st.tuples(st.just("--mode"), st.sampled_from(("cover", "partition", "x"))),
+    st.tuples(st.just("--to"), st.sampled_from(("star", "path", "x"))),
+    st.tuples(st.sampled_from(("--invariant", "--invariants")),
+              st.sampled_from(("inspc", "insp", "ispp", "inspc,inpp", "zeta"))),
+    st.tuples(st.just("--format"), st.sampled_from(("g6", "edges", "x"))),
+    st.tuples(st.just("--out"), st.sampled_from(("{out}", "-"))),
+)
+_FRAGMENTS = st.one_of(st.sampled_from(_WORDS).map(lambda w: (w,)),
+                       _SPECS.map(lambda s: (s,)),
+                       st.sampled_from(_NUMBERS).map(lambda n: (n,)), _OPTIONS)
+# put first, so that a drawn value overrides them
+_SAFE = {"solve": ("--timeout", "0.05"), "convert-cover": ("--timeout", "0.05"),
+         "verify": ("--count", "1")}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "p5.txt").write_text("p 5\n0 1\n1 2\n2 3\n3 4\n")
+    (root / "c4.g6").write_text("Cl\n")
+    return {"{graph}": str(root / "p5.txt"), "{g6}": str(root / "c4.g6"),
+            "{out}": str(root / "out.txt")}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(head=st.sampled_from((*cli.COMMANDS, "bogus", "--bogus", "-h")),
+       fragments=st.lists(_FRAGMENTS, max_size=6))
+def test_any_argv_exits_with_a_documented_code(cli_files, head, fragments):
+    argv = [head, *_SAFE.get(head, ()), *(w for f in fragments for w in f)]
+    argv = [cli_files.get(word, word) for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 4:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
