@@ -285,6 +285,10 @@ def paper_constants(n: int, max_digits: int = 100_000,
     """
     if n < 4:
         raise ValueError("n >= 4 required")
+    if max_digits < 1:
+        raise ValueError(f"max_digits >= 1 required, got {max_digits}")
+    if c_chi is not None and c_chi < 0:
+        raise ValueError(f"c_chi >= 0 required, got {c_chi}")
     r = ramsey(n - 1, n)
     nu = BoundValue(r.value - 1, r.status)
     xi = xi_value(n, n - 2)

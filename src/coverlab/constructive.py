@@ -587,11 +587,15 @@ def sp_partition_construct(g: Graph, n: int, root: int = 0) -> ConstructionTrace
 # -- certificate conversions -------------------------------------------
 
 
-def _keep_kind(g: Graph, cert: PieceCertificate, keep: PieceKind, limit: int,
+def _keep_kind(g: Graph, cert: PieceCertificate, keep: PieceKind, n: int,
                too_big: Callable[[int], Exception]) -> PieceCertificate:
     """Keep the pieces of kind `keep` and split every other piece into
-    singletons; a piece of more than `limit` vertices raises
-    `too_big(its size)` instead."""
+    singletons; a piece too big for a graph free of n-vertex induced
+    paths (keeping stars) or of n-leaf induced stars (keeping paths)
+    raises `too_big(its size)` instead."""
+    if n < 1:
+        raise BadParameter(f"n >= 1 required, got {n}")
+    limit = n - 1 if keep is PieceKind.STAR else n + 1
     if not validate_certificate(g, cert):
         raise BadInput("certificate does not validate")
     out: list[tuple[int, ...]] = []
@@ -612,7 +616,7 @@ def cover_to_star_cover(g: Graph, cert: PieceCertificate, n: int) -> PieceCertif
     Pieces that are stars (including P_1/P_2/P_3, which are both) are
     kept as stars.
     """
-    return _keep_kind(g, cert, PieceKind.STAR, n - 1, lambda k: PathTooLong(
+    return _keep_kind(g, cert, PieceKind.STAR, n, lambda k: PathTooLong(
         f"path piece with {k} vertices in a graph meant "
         f"to have no {n}-vertex induced path"))
 
@@ -622,6 +626,6 @@ def cover_to_path_cover(g: Graph, cert: PieceCertificate, n: int) -> PieceCertif
 
     Pieces that are paths (including P_1/P_2/P_3) are kept as paths.
     """
-    return _keep_kind(g, cert, PieceKind.PATH, n + 1, lambda k: StarTooLarge(
+    return _keep_kind(g, cert, PieceKind.PATH, n, lambda k: StarTooLarge(
         f"star piece with {k} vertices in a graph meant "
         f"to have no induced {n}-leaf star"))

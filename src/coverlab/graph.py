@@ -80,8 +80,17 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.order)) // 2
 
-    def degree_sequence(self) -> list[int]:
-        return sorted((self.degree(v) for v in range(self.order)), reverse=True)
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """degrees[v]: the degree of v; built once per graph."""
+        return tuple(row.bit_count() for row in self.adj)
+
+    @cached_property
+    def by_degree(self) -> tuple[int, ...]:
+        """The vertices by degree descending, ties by index ascending."""
+        # a stable sort keeps equal degrees in ascending index order
+        return tuple(sorted(range(self.order), key=self.degrees.__getitem__,
+                            reverse=True))
 
     @cached_property
     def rings(self) -> tuple[tuple[int, ...], ...]:
@@ -157,34 +166,6 @@ def bfs_layering(g: Graph, root: int) -> BfsLayering:
     return BfsLayering(root, tuple(tuple(l) for l in layers), tuple(dist))
 
 
-def distances_from(g: Graph, root: int) -> tuple[Optional[int], ...]:
-    return bfs_layering(g, root).dist
-
-
-def dist(g: Graph, u: int, v: int) -> Optional[int]:
-    return distances_from(g, u)[v]
-
-
-def eccentricity(g: Graph, v: int) -> Optional[int]:
-    lay = bfs_layering(g, v)
-    if sum(len(l) for l in lay.layers) != g.order:
-        return None
-    return lay.depth
-
-
-def diameter(g: Graph) -> Optional[int]:
-    """Max eccentricity, or None if the graph is disconnected."""
-    if g.order == 0:
-        return None
-    best = 0
-    for v in range(g.order):
-        e = eccentricity(g, v)
-        if e is None:
-            return None
-        best = max(best, e)
-    return best
-
-
 def connected_components(g: Graph) -> list[list[int]]:
     """Maximal connected vertex sets, each sorted, ordered by minimum."""
     seen = 0
@@ -212,13 +193,6 @@ def is_connected(g: Graph) -> bool:
 def is_independent(g: Graph, mask: int) -> bool:
     for v in bits(mask):
         if g.adj[v] & mask:
-            return False
-    return True
-
-
-def is_clique(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if (g.adj[v] & mask) != mask & ~(1 << v):
             return False
     return True
 

@@ -73,11 +73,9 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
         return Embedding(())
     order = _pattern_order(pattern)
     need = [pattern.degree(p) for p in order]
-    degree = [row.bit_count() for row in host.adj]
-    if max(need) > max(degree):     # some pattern vertex has no candidate
+    degree, host_by_degree = host.degrees, host.by_degree
+    if max(need) > degree[host_by_degree[0]]:  # some pattern vertex has no candidate
         return None
-    # a stable sort keeps equal degrees in ascending index order
-    host_by_degree = sorted(range(host.order), key=degree.__getitem__, reverse=True)
     full = host.full_mask
     # pattern adjacency between positions of `order`, as position bitmasks
     position = {p: i for i, p in enumerate(order)}

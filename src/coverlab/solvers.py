@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import Disconnected
-from .graph import (Graph, PieceKind, bits, certificate_fault, is_connected,
-                    mask_of, piece_shape_mask)
-from . import generators as gen
+from .graph import Graph, PieceKind, bits, certificate_fault, is_connected, mask_of
 
 # invariant name -> (piece kind, mode)
 INVARIANT_SPECS = {
@@ -125,7 +123,7 @@ def _independence_number(g: Graph, within: int, floor: int = 0) -> int:
 def _largest_star(g: Graph) -> int:
     """The order of a largest induced star: 1 + max_c alpha(N(c))."""
     best = 1
-    for c in sorted(range(g.order), key=lambda c: -g.degree(c)):
+    for c in g.by_degree:
         if 1 + g.degree(c) <= best:
             break
         best = 1 + _independence_number(g, g.adj[c], best - 1)
@@ -215,12 +213,26 @@ def _paths_at(g: Graph, within: int, v: int,
     return paths, maximal
 
 
+def _longest_path(g: Graph) -> int:
+    """The order of a longest induced path.  It is maximal, and lies
+    inside V>=v for its least vertex v, so it is among the maximal paths
+    that `_paths_at` walks from v; the walks stop once no n - v vertices
+    left could hold a longer one."""
+    best, full = 0, g.full_mask
+    for v in range(g.order):
+        if best >= g.order - v:
+            break
+        maximal = _paths_at(g, full >> v << v, v, None)[1]
+        best = max([best, *map(int.bit_count, maximal)])
+    return best
+
+
 def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
     """All inclusion-maximal piece vertex sets, as bitmasks sorted by
-    (-size, mask).
-
-    For covers only maximal pieces matter: any cover piece may be grown
-    to a maximal one without breaking the cover.
+    (-size, mask).  Only covers use them: any cover piece may be grown
+    to a maximal one without breaking the cover; a partition reads only
+    the largest piece size, from `_largest_star`, `_longest_path` or
+    `Graph.rings`.
     """
     if not isinstance(kind, PieceKind):
         raise ValueError(f"unknown kind {kind!r}")
@@ -297,6 +309,8 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     the vertex of u in the fewest of them.  A partition branches on the
     least vertex v of u: every vertex of u is at least v, so the pieces inside
     u that hold v are those of `pieces_at(g, V>=v, v, kind)` inside u.
+    Its max_size is the largest star, the longest induced path or one
+    more than the largest component diameter, with no maximal pieces.
     All nodes share their list, and stars join it one size class at a
     time, largest first, only as far as a node reads it.  The incumbent
     follows the first candidate at each node.  On timeout the result is
@@ -318,16 +332,20 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
             v = next(w for w in fewest if u >> w & 1)
             return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
     else:
-        if kind is PieceKind.STAR:
-            max_size = _largest_star(g)
-        else:
-            pieces = enumerate_maximal_pieces(g, kind)
-            max_size = pieces[0].bit_count()
         longest_path = 0
-        if kind is PieceKind.SP_ANY:
-            # every maximal piece of four or more vertices is a path or a star
-            longest_path = next((m.bit_count() for m in pieces if m.bit_count() > 3
-                                 and piece_shape_mask(g, m, PieceKind.PATH)), 3)
+        if kind is PieceKind.ISOMETRIC_PATH:
+            # rings[v] holds ecc(v) + 2 rings, the last one empty; a longest
+            # geodesic has one vertex more than a component's largest ecc
+            max_size = max(len(ring) for ring in g.rings) - 1
+        elif kind is PieceKind.PATH:
+            max_size = _longest_path(g)
+        else:
+            max_size = _largest_star(g)
+            if kind is PieceKind.SP_ANY:
+                # `_star_classes` takes every piece of up to three
+                # vertices from the paths, so it walks them from there
+                path = _longest_path(g)
+                max_size, longest_path = max(max_size, path), max(path, 3)
         # v -> [the pieces listed so far, in (-size, mask) order; a
         # generator of lists of the rest, or None once none are left].
         # A path kind lists its pieces at once; stars, and the paths that
@@ -483,33 +501,27 @@ def validate_certificate(g: Graph, cert: PieceCertificate) -> bool:
 
 
 def clique_number(g: Graph) -> int:
-    best = 0
-
-    def expand(r_size: int, p: int):
-        nonlocal best
+    """Depth first on an explicit stack: a clique of `size` vertices with
+    candidates p takes the least candidate v first, then goes on with
+    the candidates above v, while it may still beat the best."""
+    best, stack = 0, [(0, g.full_mask)]
+    while stack:
+        size, p = stack.pop()
         if not p:
-            best = max(best, r_size)
-            return
-        while p:
-            if r_size + p.bit_count() <= best:
-                return
-            v = next(bits(p))
-            p &= ~(1 << v)
-            expand(r_size + 1, p & g.adj[v])
-
-    expand(0, g.full_mask)
+            best = max(best, size)
+        elif size + p.bit_count() > best:
+            low = p & -p
+            p ^= low
+            stack.append((size, p))
+            stack.append((size + 1, p & g.adj[low.bit_length() - 1]))
     return best
-
-
-def independence_number(g: Graph) -> int:
-    return clique_number(gen.complement(g))
 
 
 def chromatic_coloring(g: Graph) -> list[int]:
     """An optimal proper coloring as a list of color-class masks."""
     if g.order == 0:
         return []
-    order = sorted(range(g.order), key=lambda v: -g.degree(v))
+    order = g.by_degree
     lo = clique_number(g)
 
     def colorable(k: int) -> Optional[list[int]]:

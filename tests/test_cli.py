@@ -268,8 +268,17 @@ def test_timeout_must_be_finite(tmp_path, capsys, command, timeout):
     (["solve", "g.txt", "--bogus"], "unrecognized arguments: --bogus"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
+    (["bounds", "constants", "4", "--max-digits", "-3"],
+     "max_digits >= 1 required, got -3"),
+    (["bounds", "constants", "4", "--max-digits", "0"],
+     "max_digits >= 1 required, got 0"),
+    (["bounds", "constants", "4", "--c-chi", "-1"], "c_chi >= 0 required, got -1"),
+    (["convert-cover", "-", "--to", "path", "--n", "-2"], "n >= 1 required, got -2"),
+    (["convert-cover", "-", "--to", "star", "--n", "0"], "n >= 1 required, got 0"),
 ])
-def test_argument_and_parameter_errors_exit_4(capsys, argv, message):
+def test_argument_and_parameter_errors_exit_4(monkeypatch, capsys, argv, message):
+    # convert-cover reads P_5 from stdin, and checks --n once it has a cover
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 5\n0 1\n1 2\n2 3\n3 4\n"))
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -16,9 +16,8 @@ from coverlab.graph import (PieceKind, bits, build_graph, connected_components,
 from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
                               chromatic_coloring, chromatic_number,
                               clique_number, enumerate_maximal_pieces,
-                              independence_number, invariant_value, min_cover,
-                              min_dominating_set, min_partition, pieces_at,
-                              validate_certificate)
+                              invariant_value, min_cover, min_dominating_set,
+                              min_partition, pieces_at, validate_certificate)
 from coverlab.verify import lemma41, oracle_agrees
 
 
@@ -118,12 +117,17 @@ def test_timeout_budget_includes_enumeration(monkeypatch, solve):
             late_reads.append(clock[0])
         return clock[0]
 
-    def slow_enumeration(g, kind, enumerate_pieces=enumerate_maximal_pieces):
-        clock[0] += 10.0  # enumeration alone uses up the budget
-        return enumerate_pieces(g, kind)
+    # a cover's first step enumerates its maximal pieces; a partition's
+    # finds its largest piece size, here the largest star
+    name = "enumerate_maximal_pieces" if solve is min_cover else "_largest_star"
+    first_step = getattr(solvers, name)
+
+    def slow_first_step(*args):
+        clock[0] += 10.0  # the first step alone uses up the budget
+        return first_step(*args)
 
     monkeypatch.setattr(solvers.time, "monotonic", monotonic)
-    monkeypatch.setattr(solvers, "enumerate_maximal_pieces", slow_enumeration)
+    monkeypatch.setattr(solvers, name, slow_first_step)
     cert = solve(g, PieceKind.SP_ANY, SolveConfig(timeout=1.0))
     # the search stops at its root: one deadline check, no node expanded
     assert late_reads == [10.0]
@@ -132,9 +136,23 @@ def test_timeout_budget_includes_enumeration(monkeypatch, solve):
     assert cert.lower_bound <= cert.value
 
 
+def test_partitions_enumerate_no_maximal_pieces(monkeypatch):
+    # a partition reads only its largest piece size, never the maximal pieces
+    def refuse(g, kind):
+        raise AssertionError(f"partition enumerated maximal {kind.value} pieces")
+
+    monkeypatch.setattr(solvers, "enumerate_maximal_pieces", refuse)
+    g = gen.random_connected(8, 0.4, random.Random(8))
+    for name, (kind, mode) in INVARIANT_SPECS.items():
+        if mode == "partition":
+            cert = invariant_value(g, name)
+            assert cert.optimal and validate_certificate(g, cert)
+            assert cert.value == naive.naive_min_partition(g, kind), name
+
+
 def test_distance_rings_built_once_per_graph(monkeypatch):
-    # ispp needs g's distance rings for its maximal pieces and for the
-    # pieces through every least vertex: one BFS per vertex in all
+    # ispp needs g's distance rings for its largest piece size and for
+    # the pieces through every least vertex: one BFS per vertex in all
     g = gen.random_connected(14, 0.3, random.Random(5))
     real, calls = graph.bfs_layering, []
 
@@ -324,8 +342,8 @@ def test_classical_subroutines_match_brute_force():
         g = gen.random_connected(rng.randint(3, 7), rng.uniform(0.3, 0.8), rng)
         assert clique_number(g) == brute_clique(g)
         assert chromatic_number(g) == brute_chromatic(g)
-        comp = gen.complement(g)
-        assert independence_number(g) == brute_clique(comp) if comp.order else True
+    # deeper than the recursion limit: the search runs on an explicit stack
+    assert clique_number(gen.complete(1100)) == 1100
 
 
 def test_chromatic_coloring_is_proper_and_optimal():
@@ -405,6 +423,14 @@ def test_largest_star_matches_brute_force_named():
 @given(small_graphs())
 def test_largest_star_matches_brute_force_random(g):
     assert solvers._largest_star(g) == largest_star_by_brute_force(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_longest_path_matches_brute_force(g):
+    # the largest piece size of a path partition's bound
+    longest = max(m.bit_count() for m in brute_pieces(g, PieceKind.PATH))
+    assert solvers._longest_path(g) == longest
 
 
 def star_centre_last(k):
