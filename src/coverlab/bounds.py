@@ -106,25 +106,30 @@ def _good_graph_exists(s: int, t: int, order: int) -> Optional[list[int]]:
     """Search for a graph on `order` vertices with no K_s and no I_t.
 
     Returns adjacency rows of a witness, or None after exhausting the
-    space.  Adjacent-transposition canonicity prunes relabellings of the
-    last two vertices.
+    space.  Vertex k takes as neighbours among 0..k-1 only sets that hold
+    no K_{s-1}, tried in ascending mask order; adjacent-transposition
+    canonicity prunes relabellings of the last two vertices.
     """
     rows = [0] * order
     lower = [0] * order  # row restricted to earlier vertices
 
-    def feasible(k: int, mask: int) -> bool:
-        # vertex k with neighbors `mask` among 0..k-1
-        if _has_clique_in(rows, mask, s - 1):
-            return False
-        prev = (1 << k) - 1
-        if _has_independent_in(rows, prev & ~mask, t - 1):
-            return False
-        return True
+    def neighbourhoods(k: int) -> list[int]:
+        # every K_{s-1}-free subset of 0..k-1, in ascending mask order:
+        # the sets found before v is added are all below 1 << v, and v
+        # joins a set when its neighbours in the set hold no K_{s-2}
+        # (at s = 1 even the empty set holds K_0, so there are none)
+        masks = [] if _has_clique_in(rows, 0, s - 1) else [0]
+        for v in range(k):
+            bit = 1 << v
+            masks += [m | bit for m in masks
+                      if not _has_clique_in(rows, rows[v] & m, s - 2)]
+        return masks
 
     def extend(k: int) -> Optional[list[int]]:
         if k == order:
             return list(rows)
-        for mask in range(1 << k):
+        prev = (1 << k) - 1
+        for mask in neighbourhoods(k):
             if k >= 2:
                 # canonicity: swapping vertices k-1 and k must not
                 # lower the lexicographic lower-row code
@@ -133,7 +138,7 @@ def _good_graph_exists(s: int, t: int, order: int) -> Optional[list[int]]:
                 swapped_last = lower[k - 1] | (bit << (k - 1))
                 if (swapped_prev, swapped_last) < (lower[k - 1], mask):
                     continue
-            if not feasible(k, mask):
+            if _has_independent_in(rows, prev & ~mask, t - 1):
                 continue
             lower[k] = mask
             rows[k] = mask
@@ -209,20 +214,49 @@ def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
 # -- derived quantities ------------------------------------------------
 
 
+def _over_budget(n: int, t: int, bits: int, table: dict) -> bool:
+    """True when R(n, t) would come from the binomial bound and that
+    bound, C(t+n-2, n-1) >= (t/k)^k > 2^L with k = n-1 and
+    L = k * (bit_length(t) - 1 - bit_length(k)), already has more than
+    `bits` bits, so it need not be computed."""
+    key = (min(n, t), max(n, t))
+    if key[0] < 3 or key in table or key in _search_cache:
+        return False
+    k = n - 1
+    return k * (t.bit_length() - 1 - k.bit_length()) > bits
+
+
+def _alpha_chain(n: int, h: int, max_digits: int) -> list[BoundValue]:
+    """[alpha_{n,1}, ..., alpha_{n,h}], each step from the one before.
+
+    The list ends early, at the first value over the max_digits budget,
+    with that value as a not-materialized BoundValue.
+    """
+    bits = max_digits * 4  # ~digits * log2(10)
+    over = BoundValue(None, Status.UPPER_BOUND_ONLY,
+                      note=f"exceeds {max_digits}-digit budget")
+    table = _load_table()
+    chain = [BoundValue(1, Status.EXACT)]
+    while len(chain) < h:
+        prev = chain[-1]
+        t = (n - 1) * prev.value + 1
+        if _over_budget(n, t, bits, table):
+            chain.append(over)
+            break
+        r = ramsey(n, t)
+        value = r.value - 1
+        if value.bit_length() > bits:
+            chain.append(over)
+            break
+        chain.append(BoundValue(value, weakest(prev.status, r.status)))
+    return chain
+
+
 def alpha_value(n: int, h: int, max_digits: int = 100_000) -> BoundValue:
     """alpha_{n,h}: alpha_{n,1}=1, alpha_{n,h}=R(n,(n-1)alpha_{n,h-1}+1)-1."""
     if n < 1 or h < 1:
         raise ValueError("n >= 1 and h >= 1 required")
-    value = 1
-    status = Status.EXACT
-    for _ in range(h - 1):
-        r = ramsey(n, (n - 1) * value + 1)
-        status = weakest(status, r.status)
-        value = r.value - 1
-        if value.bit_length() > max_digits * 4:  # ~digits * log2(10)
-            return BoundValue(None, Status.UPPER_BOUND_ONLY,
-                              note=f"exceeds {max_digits}-digit budget")
-    return BoundValue(value, status)
+    return _alpha_chain(n, h, max_digits)[-1]
 
 
 def xi_value(n: int, i: int) -> BoundValue:
@@ -235,18 +269,24 @@ def xi_value(n: int, i: int) -> BoundValue:
     return BoundValue(value, r.status)
 
 
-def dominating_set_bound(n: int, l0: int, max_digits: int = 100_000) -> BoundValue:
-    """R(n,n) * sum_{2<=h<=l0} alpha_{n,h} + 1 (dominating-set size bound)."""
-    rnn = ramsey(n, n)
+def _dominating_sum(rnn: BoundValue, chain: list[BoundValue],
+                    l0: int) -> BoundValue:
+    """R(n,n) * sum_{2<=h<=l0} alpha_{n,h} + 1 from an alpha chain that
+    reaches h = l0 or ends over budget before it."""
     status = rnn.status
     total = 0
-    for h in range(2, l0 + 1):
-        a = alpha_value(n, h, max_digits=max_digits)
+    for a in chain[1:l0]:
         if a.value is None:
             return BoundValue(None, Status.UPPER_BOUND_ONLY, note=a.note)
         status = weakest(status, a.status)
         total += a.value
     return BoundValue(rnn.value * total + 1, status)
+
+
+def dominating_set_bound(n: int, l0: int, max_digits: int = 100_000) -> BoundValue:
+    """R(n,n) * sum_{2<=h<=l0} alpha_{n,h} + 1 (dominating-set size bound)."""
+    rnn = ramsey(n, n)
+    return _dominating_sum(rnn, _alpha_chain(n, l0, max_digits), l0)
 
 
 @dataclass(frozen=True)
@@ -293,8 +333,10 @@ def paper_constants(n: int, max_digits: int = 100_000,
     nu = BoundValue(r.value - 1, r.status)
     xi = xi_value(n, n - 2)
     small, large = n * n - 1, n * n + 2 * n - 1
-    dom_small = dominating_set_bound(n, small, max_digits)
-    dom_large = dominating_set_bound(n, large, max_digits)
+    rnn = ramsey(n, n)
+    chain = _alpha_chain(n, large, max_digits)  # dom_small sums a prefix of it
+    dom_small = _dominating_sum(rnn, chain, small)
+    dom_large = _dominating_sum(rnn, chain, large)
 
     def times(a: BoundValue, b: BoundValue) -> BoundValue:
         if a.value is None or b.value is None:

@@ -171,6 +171,8 @@ def cmd_construct(args) -> int:
 
 def cmd_convert_cover(args) -> int:
     _check_timeout(args.timeout)
+    if args.n < 1:  # before the solve, which can take long
+        raise BadParameter(f"n >= 1 required, got {args.n}")
     g = _load_graph(args.graph, args.format)
     cert = solvers.min_cover(g, PieceKind.SP_ANY,
                              solvers.SolveConfig(timeout=args.timeout))

@@ -33,9 +33,14 @@ def naive_min_cover(g: Graph, kind: PieceKind) -> int:
     Restricting to maximal pieces is sound for covers: replacing any
     piece by a maximal superset keeps a cover a cover.
     """
+    return _min_cover_of(g, all_piece_masks(g, kind))
+
+
+def _min_cover_of(g: Graph, masks: list[int]) -> int:
+    """naive_min_cover with the piece list `masks` already enumerated."""
     if g.order == 0:
         return 0
-    pieces = _maximal(all_piece_masks(g, kind))
+    pieces = _maximal(masks)
     full = g.full_mask
     for k in range(1, len(pieces) + 1):
         for combo in combinations(pieces, k):
@@ -61,9 +66,14 @@ def _set_partitions(items: list[int]):
 
 def naive_min_partition(g: Graph, kind: PieceKind) -> int:
     """Minimum over all set partitions of V whose blocks are all pieces."""
+    return _min_partition_of(g, all_piece_masks(g, kind))
+
+
+def _min_partition_of(g: Graph, masks: list[int]) -> int:
+    """naive_min_partition with the piece list `masks` already enumerated."""
     if g.order == 0:
         return 0
-    pieces = set(all_piece_masks(g, kind))
+    pieces = set(masks)
     best = g.order  # singletons always work
     for part in _set_partitions(list(range(g.order))):
         if len(part) >= best:

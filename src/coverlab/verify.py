@@ -84,10 +84,13 @@ def chains_hold(g: Graph) -> bool:
 
 def oracle_agrees(g: Graph) -> bool:
     """The exact solvers match the brute-force oracles on every piece kind."""
-    return all(solvers.min_cover(g, kind).value == naive.naive_min_cover(g, kind)
-               and (solvers.min_partition(g, kind).value
-                    == naive.naive_min_partition(g, kind))
-               for kind in PieceKind)
+    for kind in PieceKind:
+        masks = naive.all_piece_masks(g, kind)  # shared by both brute-force searches
+        if (solvers.min_cover(g, kind).value != naive._min_cover_of(g, masks)
+                or (solvers.min_partition(g, kind).value
+                    != naive._min_partition_of(g, masks))):
+            return False
+    return True
 
 
 # seeded suite -> (predicate, least and largest order of its random graphs)

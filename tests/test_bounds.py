@@ -1,7 +1,9 @@
 import json
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coverlab import bounds as B
 
@@ -125,3 +127,209 @@ def test_dominating_set_bound_small_cases():
     bv = B.dominating_set_bound(4, 2)
     assert bv.value == 18 * 17 + 1
     assert bv.status is B.Status.TABLE_EXACT
+
+
+# -- the alpha chain against the step-by-step recursion ------------------
+
+def _ref_alpha_value(n, h, max_digits=100_000):
+    """alpha_{n,h} walked from alpha_{n,1} on every call: O(h) Ramsey
+    values per call, so O(l0^2) for a dominating-set sum."""
+    value = 1
+    status = B.Status.EXACT
+    for _ in range(h - 1):
+        r = B.ramsey(n, (n - 1) * value + 1)
+        status = B.weakest(status, r.status)
+        value = r.value - 1
+        if value.bit_length() > max_digits * 4:
+            return B.BoundValue(None, B.Status.UPPER_BOUND_ONLY,
+                                note=f"exceeds {max_digits}-digit budget")
+    return B.BoundValue(value, status)
+
+
+def _ref_dominating_set_bound(n, l0, max_digits=100_000):
+    rnn = B.ramsey(n, n)
+    status = rnn.status
+    total = 0
+    for h in range(2, l0 + 1):
+        a = _ref_alpha_value(n, h, max_digits=max_digits)
+        if a.value is None:
+            return B.BoundValue(None, B.Status.UPPER_BOUND_ONLY, note=a.note)
+        status = B.weakest(status, a.status)
+        total += a.value
+    return B.BoundValue(rnn.value * total + 1, status)
+
+
+def _ref_paper_constants(n, max_digits=100_000, c_chi=None):
+    r = B.ramsey(n - 1, n)
+    nu = B.BoundValue(r.value - 1, r.status)
+    xi = B.xi_value(n, n - 2)
+    dom_small = _ref_dominating_set_bound(n, n * n - 1, max_digits)
+    dom_large = _ref_dominating_set_bound(n, n * n + 2 * n - 1, max_digits)
+
+    def times(a, b):
+        if a.value is None or b.value is None:
+            return B.BoundValue(None, B.Status.UPPER_BOUND_ONLY,
+                                note="component not materialized")
+        return B.BoundValue(a.value * b.value, B.weakest(a.status, b.status))
+
+    def plus(a, b):
+        if a.value is None or b.value is None:
+            return B.BoundValue(None, B.Status.UPPER_BOUND_ONLY,
+                                note="component not materialized")
+        return B.BoundValue(a.value + b.value, B.weakest(a.status, b.status))
+
+    zero = B.BoundValue(0, B.Status.EXACT)
+    c1_small = B.SymbolicConstant(zero, dom_small)
+    c1_large = B.SymbolicConstant(zero, dom_large)
+    c2_small = times(dom_small, xi)
+    c2_large = times(dom_large, xi)
+    lead = B.BoundValue((n - 1) ** 2 * nu.value, nu.status)
+    c_inspc = B.SymbolicConstant(lead, plus(times(lead, dom_small), dom_large))
+    c_inspp = plus(B.BoundValue((n - 1) ** 2, B.Status.EXACT),
+                   plus(times(lead, c2_small), c2_large))
+    out = {"nu": nu, "xi": xi, "dom_small": dom_small, "dom_large": dom_large,
+           "c1_small": c1_small, "c1_large": c1_large, "c2_small": c2_small,
+           "c2_large": c2_large, "c_inspc": c_inspc, "c_inspp": c_inspp}
+    if c_chi is not None:
+        out["c1_small_eval"] = c1_small.evaluate(c_chi)
+        out["c1_large_eval"] = c1_large.evaluate(c_chi)
+        out["c_inspc_eval"] = c_inspc.evaluate(c_chi)
+    return out
+
+
+def _assert_chain_matches_reference(n, max_digits, c_chi):
+    small, large = n * n - 1, n * n + 2 * n - 1
+    for h in range(1, large + 1):
+        want = _ref_alpha_value(n, h, max_digits)
+        assert B.alpha_value(n, h, max_digits) == want, h
+        if want.value is None:  # so is every later alpha_{n,h}
+            assert B.alpha_value(n, large, max_digits) == want
+            break
+    for l0 in (0, 1, 2, small, large):
+        assert (B.dominating_set_bound(n, l0, max_digits)
+                == _ref_dominating_set_bound(n, l0, max_digits)), l0
+    got = B.paper_constants(n, max_digits, c_chi)
+    want = _ref_paper_constants(n, max_digits, c_chi)
+    assert got.keys() == want.keys()
+    for key in want:  # BoundValue/SymbolicConstant compare value, status, note
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("c_chi", [None, 3])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_alpha_chain_matches_reference_at_default_budget(n, c_chi):
+    _assert_chain_matches_reference(n, 100_000, c_chi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 7), max_digits=st.integers(1, 3000),
+       c_chi=st.sampled_from([None, 3]))
+@example(n=4, max_digits=2858, c_chi=None)  # alpha_{4,9}: 11,432 bits, kept
+@example(n=4, max_digits=2857, c_chi=3)  # the same alpha, over budget
+def test_alpha_chain_matches_reference(n, max_digits, c_chi):
+    _assert_chain_matches_reference(n, max_digits, c_chi)
+
+
+def test_budget_edge_keeps_a_value_of_exactly_four_bits_per_digit():
+    assert B.alpha_value(4, 9, max_digits=2858).value.bit_length() == 4 * 2858
+    assert B.alpha_value(4, 9, max_digits=2857).value is None
+
+
+def test_paper_constants_skip_over_budget_binomials(monkeypatch):
+    calls, bits = [], []
+    ramsey, binomial_bound = B.ramsey, B.binomial_bound
+
+    def counted_ramsey(*args, **kwargs):
+        calls.append(args)
+        return ramsey(*args, **kwargs)
+
+    def sized_binomial(s, t):
+        value = binomial_bound(s, t)
+        bits.append(value.bit_length())
+        return value
+
+    monkeypatch.setattr(B, "ramsey", counted_ramsey)
+    monkeypatch.setattr(B, "binomial_bound", sized_binomial)
+    B.paper_constants(4)
+    B.paper_constants(5)
+    # the step-by-step recursion makes 254 calls; its largest binomial
+    # has 926,078 bits, over the 400,000-bit budget of 100,000 digits
+    assert len(calls) <= 30
+    assert bits and max(bits) <= 400_000
+
+
+# -- the Ramsey search ----------------------------------------------------
+
+def _ref_good_graph_exists(s, t, order):
+    """The search trying every neighbourhood mask of each new vertex."""
+    rows = [0] * order
+    lower = [0] * order
+
+    def feasible(k, mask):
+        if B._has_clique_in(rows, mask, s - 1):
+            return False
+        return not B._has_independent_in(rows, ((1 << k) - 1) & ~mask, t - 1)
+
+    def extend(k):
+        if k == order:
+            return list(rows)
+        for mask in range(1 << k):
+            if k >= 2:
+                bit = mask >> (k - 1) & 1
+                swapped_prev = mask & ~(1 << (k - 1))
+                swapped_last = lower[k - 1] | (bit << (k - 1))
+                if (swapped_prev, swapped_last) < (lower[k - 1], mask):
+                    continue
+            if not feasible(k, mask):
+                continue
+            lower[k] = mask
+            rows[k] = mask
+            for v in range(k):
+                if mask >> v & 1:
+                    rows[v] |= 1 << k
+            found = extend(k + 1)
+            if found is not None:
+                return found
+            for v in range(k):
+                if mask >> v & 1:
+                    rows[v] &= ~(1 << k)
+            rows[k] = 0
+        return None
+
+    return extend(0)
+
+
+def _clique_and_independence_numbers(order):
+    """{(omega(G), alpha(G))} over every graph G on vertices 0..order-1."""
+    pairs = list(combinations(range(order), 2))
+    inside = []  # per vertex subset: (its size, the pairs inside it as a mask)
+    for sub in range(1 << order):
+        pm = sum(1 << i for i, (u, v) in enumerate(pairs)
+                 if sub >> u & 1 and sub >> v & 1)
+        inside.append((sub.bit_count(), pm))
+    return {(max(k for k, pm in inside if pm & edges == pm),
+             max(k for k, pm in inside if not pm & edges))
+            for edges in range(1 << len(pairs))}
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_good_graph_search_matches_brute_force(order):
+    numbers = _clique_and_independence_numbers(order)
+    for s in (2, 3, 4):
+        for t in (2, 3, 4):
+            exists = any(omega < s and alpha < t for omega, alpha in numbers)
+            rows = B._good_graph_exists(s, t, order)
+            assert (rows is not None) == exists, (s, t)
+            if rows is not None:
+                assert not B._has_clique_in(rows, (1 << order) - 1, s)
+                assert not B._has_independent_in(rows, (1 << order) - 1, t)
+
+
+@pytest.mark.parametrize("s, t", [(3, 4), (4, 3)])
+def test_good_graph_witness_matches_reference(s, t):
+    for order in range(9):
+        assert B._good_graph_exists(s, t, order) == _ref_good_graph_exists(s, t, order)
+
+
+def test_search_derives_r43():
+    assert B.ramsey_exact_search(4, 3, max_order=9) == 9

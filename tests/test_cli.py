@@ -277,11 +277,22 @@ def test_timeout_must_be_finite(tmp_path, capsys, command, timeout):
     (["convert-cover", "-", "--to", "star", "--n", "0"], "n >= 1 required, got 0"),
 ])
 def test_argument_and_parameter_errors_exit_4(monkeypatch, capsys, argv, message):
-    # convert-cover reads P_5 from stdin, and checks --n once it has a cover
+    # convert-cover reads P_5 from stdin
     monkeypatch.setattr("sys.stdin", io.StringIO("p 5\n0 1\n1 2\n2 3\n3 4\n"))
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_convert_cover_checks_n_before_the_solve(monkeypatch, capsys, n):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("min_cover ran before --n was checked")
+    monkeypatch.setattr(cli.solvers, "min_cover", no_solve)
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 5\n0 1\n1 2\n2 3\n3 4\n"))
+    code, out, err = run(capsys, "convert-cover", "-", "--to", "path", "--n", n)
+    assert code == 4 and out == ""
+    assert err == f"error: n >= 1 required, got {n}\n"
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

@@ -100,6 +100,15 @@ def test_random_connected_is_connected_and_deterministic():
     assert is_connected(a)
 
 
+@pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+def test_random_connected_rejects_p_that_never_connects(p):
+    rng = random.Random(0)
+    with pytest.raises(BadParameter, match="p > 0 required"):
+        gen.random_connected(2, p, rng)
+    assert rng.random() == random.Random(0).random()  # no draw was made
+    assert gen.random_connected(1, p, rng).order == 1  # K_1 is connected
+
+
 def test_generate_parsing():
     assert gen.generate("sstar:3").order == 7
     assert gen.generate("h3:2,3").order == 8
