@@ -160,10 +160,13 @@ def _good_graph_exists(s: int, t: int, order: int) -> Optional[list[int]]:
 def ramsey_exact_search(s: int, t: int, max_order: int = 9) -> int:
     """R(s,t) by exhaustive search: least N with no (K_s, I_t)-avoiding graph.
 
-    Raises SearchBudgetExceeded if the answer exceeds max_order.
+    R is symmetric, and the search prunes best with s <= t, so it runs
+    on (min(s, t), max(s, t)).  Raises SearchBudgetExceeded if the
+    answer exceeds max_order.
     """
+    lo, hi = min(s, t), max(s, t)
     for order in range(1, max_order + 1):
-        if _good_graph_exists(s, t, order) is None:
+        if _good_graph_exists(lo, hi, order) is None:
             return order
     raise SearchBudgetExceeded(f"R({s},{t}) > {max_order}")
 

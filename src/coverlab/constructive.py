@@ -17,8 +17,8 @@ from . import generators as gen
 from .bounds import BoundValue, Status, xi_value
 from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      InternalInvariantBroken, PathTooLong, StarTooLarge)
-from .graph import (BfsLayering, Graph, PieceKind, bfs_layering, bits,
-                    certificate_fault, is_connected, mask_of, piece_shape_mask)
+from .graph import (Graph, PieceKind, bits, certificate_fault, distance_rings,
+                    is_connected, mask_of, piece_shape_mask)
 from .iso import ForbiddenFamily, freeness_witness, target_family
 from .solvers import (PieceCertificate, chromatic_coloring,
                       min_dominating_set, validate_certificate)
@@ -250,9 +250,10 @@ def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
 
 # -- layered long-path machinery ---------------------------------------
 #
-# The long branch runs on one BFS layering of the whole graph, the Q-path
-# masks and ν, each built once per construction, so every layer vertex
-# costs a few mask operations wherever it is looked at.
+# The long branch runs on the distance rings of the whole graph from the
+# root (layer i is the mask rings[i]), the Q-path masks and ν, each built
+# once per construction, so every layer vertex costs a few mask
+# operations wherever it is looked at.
 
 
 @dataclass
@@ -262,8 +263,7 @@ class _LayeredState:
     g: Graph
     n: int
     root: int
-    layers: tuple[tuple[int, ...], ...]
-    dist: tuple[Optional[int], ...]  # BFS distance from the root
+    rings: tuple[int, ...]    # rings[i] = mask of layer i, distance i from the root
     nu: int                   # ν = R(n-1, n) - 1, the slice-size bound
     k: list[int]              # k[h], 1-based, k[h0+1] = 2n
     q_paths: list[list[int]]  # q_paths[h-1] = vertices of Q_h by layer
@@ -271,51 +271,62 @@ class _LayeredState:
     h0: int = 0
 
 
-def _parent(g: Graph, dist: Sequence[Optional[int]], x: int) -> int:
-    """Least-index neighbour of x one layer nearer the root."""
-    up = dist[x] - 1
-    for w in bits(g.adj[x]):  # ascending, so the first hit is the least
-        if dist[w] == up:
-            return w
-    raise InternalInvariantBroken("layer vertex with no parent")
+def _least(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
-def _least_index_shortest_path(g: Graph, dist: Sequence[Optional[int]],
-                               target: int) -> list[int]:
-    """Shortest root->target path taking the least-index parent at each step."""
+def _closed_neighbourhood(g: Graph, mask: int) -> int:
+    out = mask
+    for v in bits(mask):
+        out |= g.adj[v]
+    return out
+
+
+def _parent(g: Graph, rings: Sequence[int], x: int, i: int) -> int:
+    """Least-index neighbour of x, a vertex of layer i, in layer i - 1."""
+    up = g.adj[x] & rings[i - 1]
+    if not up:
+        raise InternalInvariantBroken("layer vertex with no parent")
+    return _least(up)
+
+
+def _least_index_shortest_path(g: Graph, rings: Sequence[int], target: int,
+                               i: int) -> list[int]:
+    """Shortest root->target path, target in layer i, taking the
+    least-index parent at each step."""
     path = [target]
-    cur = target
-    while dist[cur] > 0:
-        cur = _parent(g, dist, cur)
-        path.append(cur)
+    for j in range(i, 0, -1):
+        path.append(_parent(g, rings, path[-1], j))
     path.reverse()
     return path
 
 
-def _build_q_paths(g: Graph, n: int, lay: BfsLayering, nu: int) -> _LayeredState:
-    layers = lay.layers
-    st = _LayeredState(g, n, lay.root, layers, lay.dist, nu, [0], [], [])
+def _build_q_paths(g: Graph, n: int, root: int, rings: tuple[int, ...],
+                   nu: int) -> _LayeredState:
+    st = _LayeredState(g, n, root, rings, nu, [0], [], [])
 
     def add(k_h: int, w: int) -> None:
-        q = _least_index_shortest_path(g, lay.dist, w)
+        q = _least_index_shortest_path(g, rings, w, k_h)
         st.k.append(k_h)
         st.q_paths.append(q)
         st.q_masks.append(mask_of(q))
 
     # Q_1: least-index vertex of the deepest layer
-    add(lay.depth, min(layers[lay.depth]))
-    union = st.q_masks[0]
+    depth = len(rings) - 1
+    add(depth, _least(rings[depth]))
+    near = _closed_neighbourhood(g, st.q_masks[0])  # N[Q_1 ∪ ... ∪ Q_h]
     while st.k[-1] >= 3 * n + 2:
         chosen = None
         for i in range(st.k[-1] - n - 1, 2 * n, -1):
-            cand = [y for y in layers[i] if not (g.adj[y] | 1 << y) & union]
+            # the least layer vertex neither on nor next to a Q-path
+            cand = rings[i] & ~near
             if cand:
-                chosen = (i, min(cand))
+                chosen = (i, _least(cand))
                 break
         if chosen is None:
             break
         add(*chosen)
-        union |= st.q_masks[-1]
+        near |= _closed_neighbourhood(g, st.q_masks[-1])
     st.k.append(2 * n)
     st.h0 = len(st.q_paths)
     return st
@@ -340,42 +351,35 @@ def _check_q_claims(st: _LayeredState) -> None:
                     raise InternalInvariantBroken("edge between distinct Q-paths")
     if st.h0 > n - 1:
         raise InternalInvariantBroken(f"number of Q-paths {st.h0} exceeds {n - 1}")
-    # a layer vertex with a neighbor on Q is pinned to the adjacent
-    # layer vertices of Q, for layers n+1 .. k_h - n - 1
+    # a layer vertex on or next to Q is pinned to the adjacent layer
+    # vertices of Q, for layers n+1 .. k_h - n - 1
     for h, (q, qmask) in enumerate(zip(st.q_paths, st.q_masks), start=1):
+        near = _closed_neighbourhood(g, qmask)
         for i in range(n + 1, st.k[h] - n):
-            for y in st.layers[i]:
-                if g.adj[y] & qmask or (qmask >> y & 1):
-                    if y != q[i] and not (g.has_edge(y, q[i - 1])
-                                          and g.has_edge(y, q[i + 1])):
-                        raise InternalInvariantBroken(
-                            "layer vertex near a Q-path misses its pinned neighbors")
+            pinned = g.adj[q[i - 1]] & g.adj[q[i + 1]] | 1 << q[i]
+            if st.rings[i] & near & ~pinned:
+                raise InternalInvariantBroken(
+                    "layer vertex near a Q-path misses its pinned neighbors")
 
 
 def _index_sets(st: _LayeredState):
+    """The band J_h of each stage h, the first layer m_h of its index set
+    I_h, and the stages L whose band is non-empty."""
     n, h0 = st.n, st.h0
-    I = {}
-    J = {}
-    m = {}
-    for h in range(1, h0 + 1):
-        if h < h0:
-            I[h] = range(st.k[h] - n, st.k[h] + 1)
-        else:
-            I[h] = range(max(2 * n + 1, st.k[h0] - n), st.k[h0] + 1)
-        J[h] = range(st.k[h + 1] + 1, st.k[h] - n)
-        m[h] = I[h][0]
-    I[h0 + 1] = range(0, 2 * n + 1)
+    J = {h: range(st.k[h + 1] + 1, st.k[h] - n) for h in range(1, h0 + 1)}
+    m = {h: st.k[h] - n for h in range(1, h0)}
+    m[h0] = max(2 * n + 1, st.k[h0] - n)
     L = [h for h in range(1, h0 + 1) if len(J[h]) > 0]
     if not L:
         raise InternalInvariantBroken("no non-trivial layer band in the long branch")
-    return I, J, m, L
+    return J, m, L
 
 
 def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
     """Partition layer i among the first h Q-paths by adjacency."""
     g = st.g
     out: list[list[int]] = [[] for _ in range(h)]
-    for y in sorted(st.layers[i]):
+    for y in bits(st.rings[i]):
         closed = g.adj[y] | 1 << y
         hits = [l for l in range(h) if closed & st.q_masks[l]]
         if not hits:
@@ -434,7 +438,7 @@ def _band_segments(st: _LayeredState, p: int, Jp: range) -> list[int]:
         return []
     band = 0
     for i in Jp_prime:
-        band |= mask_of(st.layers[i])
+        band |= st.rings[i]
     covered = 0
     out = []
     for l in range(p):
@@ -457,10 +461,10 @@ def _forest_blocks(st: _LayeredState, lo: int, hi: int) -> list[tuple[int, list[
     parent = {}
     members = []
     for i in range(lo, hi + 1):
-        for x in st.layers[i]:
+        for x in bits(st.rings[i]):
             members.append(x)
             if i > lo:
-                parent[x] = _parent(g, st.dist, x)
+                parent[x] = _parent(g, st.rings, x, i)
 
     def find_root(x: int) -> int:
         while x in parent:
@@ -470,8 +474,9 @@ def _forest_blocks(st: _LayeredState, lo: int, hi: int) -> list[tuple[int, list[
     comps: dict[int, list[int]] = {}
     for x in members:
         comps.setdefault(find_root(x), []).append(x)
+    base = st.rings[lo]
     for root in comps:
-        if st.layers[lo] and root not in st.layers[lo]:
+        if base and not base >> root & 1:
             raise InternalInvariantBroken("forest component root off the base layer")
     return sorted(comps.items())
 
@@ -488,12 +493,13 @@ def _star_blocks(st: _LayeredState, lo: int, hi: int, mode: str,
     for root, verts in blocks:
         verts = sorted(verts)
         sub = g.subgraph(verts)
-        lay = bfs_layering(sub, verts.index(root))
-        if sum(len(l) for l in lay.layers) != sub.order:
+        rings = distance_rings(sub, verts.index(root))
+        if sum(rings) != sub.full_mask:
             raise InternalInvariantBroken("forest component not connected in g")
-        if lay.depth > max_diam:
+        depth = len(rings) - 1
+        if depth > max_diam:
             raise InternalInvariantBroken(
-                f"component eccentricity {lay.depth} exceeds {max_diam}")
+                f"component eccentricity {depth} exceeds {max_diam}")
         if mode == "cover":
             t = insc_bounded(sub, n, precheck=False)
         else:
@@ -508,8 +514,8 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
         raise BadParameter("n >= 4 required")
     if not 0 <= root < g.order:
         raise BadParameter("root out of range")
-    lay = bfs_layering(g, root)
-    if sum(len(l) for l in lay.layers) != g.order:
+    rings = distance_rings(g, root)
+    if sum(rings) != g.full_mask:
         raise Disconnected("input must be connected")
     if mode == "cover":
         family = target_family("inspc", n)
@@ -519,7 +525,7 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
         algorithm = "sp_partition_construct"
     _check_free(g, family.members)
 
-    d = lay.depth
+    d = len(rings) - 1
     bound_note = BoundValue(None, Status.UPPER_BOUND_ONLY,
                             note="bound component not materialized")
     if d <= n * n + 2 * n - 1:
@@ -531,9 +537,9 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
                         "delegate": t.intermediate}
         return ConstructionTrace(algorithm, n, intermediate, t.result, bound_note)
 
-    st = _build_q_paths(g, n, lay, _nu(n))
+    st = _build_q_paths(g, n, root, rings, _nu(n))
     _check_q_claims(st)
-    I, J, m, L = _index_sets(st)
+    J, m, L = _index_sets(st)
     pieces: list[int] = []
     band_logs = []
     for p in L:

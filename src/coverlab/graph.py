@@ -96,8 +96,7 @@ class Graph:
     def rings(self) -> tuple[tuple[int, ...], ...]:
         """rings[v][d]: the mask of vertices at distance d from v, with
         one empty ring past the last layer; built once per graph."""
-        return tuple(tuple(mask_of(layer) for layer in bfs_layering(self, v).layers)
-                     + (0,) for v in range(self.order))
+        return tuple(distance_rings(self, v) + (0,) for v in range(self.order))
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in the given vertex order."""
@@ -110,19 +109,6 @@ class Graph:
                     m |= 1 << idx[w]
             rows.append(m)
         return Graph(len(vertices), tuple(rows))
-
-
-@dataclass(frozen=True)
-class BfsLayering:
-    """Distance layers X_0..X_d from a root, restricted to its component."""
-
-    root: int
-    layers: tuple[tuple[int, ...], ...]
-    dist: tuple[Optional[int], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers) - 1
 
 
 def build_graph(order: int, edges: Iterable[tuple[int, int]],
@@ -141,29 +127,24 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]],
     return Graph(order, tuple(rows), label)
 
 
-def bfs_layering(g: Graph, root: int) -> BfsLayering:
+def distance_rings(g: Graph, root: int) -> tuple[int, ...]:
+    """rings[d]: the mask of vertices at distance d from root, for d up to
+    root's eccentricity.  The rings are disjoint, so sum(rings) is the
+    mask of root's component."""
     if not 0 <= root < g.order:
         raise IndexOutOfRange(f"root {root} outside [0,{g.order})")
-    dist: list[Optional[int]] = [None] * g.order
-    dist[root] = 0
-    layer = [root]
-    layers = [layer]
-    seen = 1 << root
-    d = 0
+    adj = g.adj
+    ring = seen = 1 << root
+    rings = [ring]
     while True:
         nxt = 0
-        for v in layer:
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        if not nxt:
-            break
-        d += 1
-        layer = list(bits(nxt))
-        for v in layer:
-            dist[v] = d
-        layers.append(layer)
-        seen |= nxt
-    return BfsLayering(root, tuple(tuple(l) for l in layers), tuple(dist))
+        for v in bits(ring):
+            nxt |= adj[v]
+        ring = nxt & ~seen
+        if not ring:
+            return tuple(rings)
+        rings.append(ring)
+        seen |= ring
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -171,23 +152,15 @@ def connected_components(g: Graph) -> list[list[int]]:
     seen = 0
     comps = []
     for v in range(g.order):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(list(bits(comp)))
+        if not seen >> v & 1:
+            comp = sum(distance_rings(g, v))
+            seen |= comp
+            comps.append(list(bits(comp)))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return g.order <= 1 or len(connected_components(g)) == 1
+    return g.order <= 1 or sum(distance_rings(g, 0)) == g.full_mask
 
 
 def is_independent(g: Graph, mask: int) -> bool:
@@ -240,13 +213,8 @@ def _path_order(g: Graph, mask: int) -> Optional[list[int]]:
         seen |= near
 
 
-def piece_shape(g: Graph, vertices: Iterable[int], kind: PieceKind) -> bool:
-    """Does g[vertices] belong to the kind's family of stars/paths?"""
-    mask = mask_of(vertices)
-    return piece_shape_mask(g, mask, kind)
-
-
 def piece_shape_mask(g: Graph, mask: int, kind: PieceKind) -> bool:
+    """Does g[mask] belong to the kind's family of stars/paths?"""
     if mask == 0:
         raise EmptyPiece("piece must be non-empty")
     if mask & (mask - 1) == 0:  # singleton: K_1 accepted everywhere

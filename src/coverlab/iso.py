@@ -8,6 +8,7 @@ from typing import Optional
 from . import generators as gen
 from .errors import DisconnectedMember
 from .graph import Graph, bits, is_connected, mask_of
+from .solvers import INVARIANT_SPECS
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def family_leq(f1: ForbiddenFamily, f2: ForbiddenFamily) -> bool:
 
 # -- characterization targets ------------------------------------------
 
-INVARIANTS = ("inspc", "inspp", "insc", "insp", "inpc", "inpp", "ispc", "ispp")
+INVARIANTS = tuple(INVARIANT_SPECS)
 
 
 def target_family(invariant: str, n: int) -> ForbiddenFamily:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import Disconnected
 from .graph import Graph, PieceKind, bits, certificate_fault, is_connected, mask_of
 
-# invariant name -> (piece kind, mode)
+# invariant name -> (piece kind, mode), in the order the CLI and verify list them
 INVARIANT_SPECS = {
     "inspc": (PieceKind.SP_ANY, "cover"),
     "inspp": (PieceKind.SP_ANY, "partition"),

@@ -333,3 +333,16 @@ def test_good_graph_witness_matches_reference(s, t):
 
 def test_search_derives_r43():
     assert B.ramsey_exact_search(4, 3, max_order=9) == 9
+
+
+def test_search_runs_with_s_at_most_t(monkeypatch):
+    # R(s,t) = R(t,s), and the search prunes best with the smaller clique
+    real, calls = B._good_graph_exists, []
+
+    def spy(s, t, order):
+        calls.append((s, t))
+        return real(s, t, order)
+
+    monkeypatch.setattr(B, "_good_graph_exists", spy)
+    assert B.ramsey_exact_search(4, 3, max_order=9) == 9
+    assert calls and all(s <= t for s, t in calls)

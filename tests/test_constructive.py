@@ -15,7 +15,7 @@ from coverlab.constructive import (_LayeredState, _build_q_paths,
 from coverlab.errors import (BadInput, Disconnected, FreenessViolated,
                              InternalInvariantBroken, PathTooLong,
                              StarTooLarge)
-from coverlab.graph import (PieceKind, bfs_layering, bits, build_graph,
+from coverlab.graph import (PieceKind, bits, build_graph, distance_rings,
                             mask_of, piece_shape_mask)
 from coverlab.iso import is_family_free, target_family
 from coverlab.solvers import (PieceCertificate, invariant_value, min_cover,
@@ -266,17 +266,18 @@ def test_conversion_preserves_partition_mode():
 # -- the layered construction against per-vertex reference definitions --
 
 
-def ref_least_index_path(g, lay, target):
+def ref_least_index_path(g, rings, target):
+    dist = {v: d for d, ring in enumerate(rings) for v in bits(ring)}
     path = [target]
-    while lay.dist[path[-1]] > 0:
-        prev = mask_of(lay.layers[lay.dist[path[-1]] - 1])
+    while dist[path[-1]] > 0:
+        prev = rings[dist[path[-1]] - 1]
         path.append(next(bits(g.adj[path[-1]] & prev)))
     return path[::-1]
 
 
 def ref_slices(st, h, i):
     out = [[] for _ in range(h)]
-    for y in sorted(st.layers[i]):
+    for y in bits(st.rings[i]):
         hits = [l for l in range(h)
                 if mask_of(st.q_paths[l]) >> y & 1
                 or st.g.adj[y] & mask_of(st.q_paths[l])]
@@ -288,10 +289,10 @@ def ref_slices(st, h, i):
 def ref_forest_blocks(st, lo, hi):
     parent, members = {}, []
     for i in range(lo, hi + 1):
-        for x in st.layers[i]:
+        for x in bits(st.rings[i]):
             members.append(x)
             if i > lo:
-                parent[x] = next(bits(st.g.adj[x] & mask_of(st.layers[i - 1])))
+                parent[x] = next(bits(st.g.adj[x] & st.rings[i - 1]))
     comps = {}
     for x in members:
         root = x
@@ -329,13 +330,13 @@ LONG_BRANCH_GRAPHS = [
 @pytest.mark.parametrize("name,g", LONG_BRANCH_GRAPHS,
                          ids=[f"{name}{g.order}" for name, g in LONG_BRANCH_GRAPHS])
 def test_layered_helpers_match_reference(name, g, n):
-    lay = bfs_layering(g, 0)
-    st = _build_q_paths(g, n, lay, _nu(n))
+    rings = distance_rings(g, 0)
+    st = _build_q_paths(g, n, 0, rings, _nu(n))
     for q, q_mask in zip(st.q_paths, st.q_masks):
-        assert q == ref_least_index_path(g, lay, q[-1])
+        assert q == ref_least_index_path(g, rings, q[-1])
         assert q_mask == mask_of(q)
     _check_q_claims(st)
-    _, J, m, L = _index_sets(st)
+    J, m, L = _index_sets(st)
     for p in L:
         for i in range(J[p].start, J[p].stop - 1):
             assert _slices(st, p, i) == ref_slices(st, p, i)
@@ -351,15 +352,14 @@ def two_path_state(extra_edges, nu=8):
     `extra_edges` at it."""
     g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6),
                         *extra_edges])
-    lay = bfs_layering(g, 0)
     q_paths = [[0, 1, 2, 3], [0, 4, 5, 6]]
-    return _LayeredState(g, 4, 0, lay.layers, lay.dist, nu, [0, 3, 3, 8],
+    return _LayeredState(g, 4, 0, distance_rings(g, 0), nu, [0, 3, 3, 8],
                          q_paths, [mask_of(q) for q in q_paths], 2)
 
 
 def test_slices_on_a_hand_built_state():
     st = two_path_state([(7, 1)])
-    assert st.layers[2] == (2, 5, 7)
+    assert st.rings[2] == mask_of([2, 5, 7])
     assert _slices(st, 2, 2) == [[2, 7], [5]]
 
 

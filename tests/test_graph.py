@@ -2,16 +2,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coverlab.errors import EmptyPiece, IndexOutOfRange, SelfLoop
-from coverlab.graph import (Graph, PieceKind, bfs_layering, bits, build_graph,
-                            connected_components, is_connected, is_independent,
-                            mask_of, piece_shape, piece_shape_mask)
+from coverlab.graph import (Graph, PieceKind, bits, build_graph,
+                            connected_components, distance_rings, is_connected,
+                            is_independent, mask_of, piece_shape_mask)
 from coverlab.graph import _path_order, _star_center
 from coverlab import generators as gen
 
 
 @st.composite
-def graphs(draw, max_order=9):
-    n = draw(st.integers(0, max_order))
+def graphs(draw, max_order=9, min_order=0):
+    n = draw(st.integers(min_order, max_order))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return build_graph(n, [e for e, k in zip(pairs, keep) if k])
@@ -56,9 +56,10 @@ def test_subgraph_relabels_in_order():
 
 def test_bfs_layering_and_distances():
     g = gen.path(5)
-    lay = bfs_layering(g, 2)
-    assert lay.layers == ((2,), (1, 3), (0, 4))
-    assert lay.depth == 2
+    rings = distance_rings(g, 2)
+    assert rings == (mask_of([2]), mask_of([1, 3]), mask_of([0, 4]))
+    assert len(rings) - 1 == 2
+    assert g.rings[2] == rings + (0,)
 
 
 def test_disconnected_metrics():
@@ -77,7 +78,7 @@ def test_independent_and_clique_masks():
 def test_singleton_is_every_kind():
     g = gen.complete(3)
     for kind in PieceKind:
-        assert piece_shape(g, [1], kind)
+        assert piece_shape_mask(g, mask_of([1]), kind)
 
 
 def test_empty_piece_raises():
@@ -87,37 +88,40 @@ def test_empty_piece_raises():
 
 def test_star_shape():
     g = gen.star(4)  # center 0
-    assert piece_shape(g, range(5), PieceKind.STAR)
-    assert piece_shape(g, [0, 1], PieceKind.STAR)
-    assert not piece_shape(g, [1, 2], PieceKind.STAR)  # disconnected pair
+    assert piece_shape_mask(g, mask_of(range(5)), PieceKind.STAR)
+    assert piece_shape_mask(g, mask_of([0, 1]), PieceKind.STAR)
+    assert not piece_shape_mask(g, mask_of([1, 2]), PieceKind.STAR)  # disconnected pair
     tri = gen.complete(3)
-    assert not piece_shape(tri, [0, 1, 2], PieceKind.STAR)  # leaves adjacent
+    # the leaves are adjacent
+    assert not piece_shape_mask(tri, mask_of([0, 1, 2]), PieceKind.STAR)
 
 
 def test_path_shape():
     g = gen.path(6)
-    assert piece_shape(g, range(6), PieceKind.PATH)
-    assert piece_shape(g, [2, 3, 4], PieceKind.PATH)
-    assert not piece_shape(g, [0, 1, 3], PieceKind.PATH)  # disconnected
+    assert piece_shape_mask(g, mask_of(range(6)), PieceKind.PATH)
+    assert piece_shape_mask(g, mask_of([2, 3, 4]), PieceKind.PATH)
+    assert not piece_shape_mask(g, mask_of([0, 1, 3]), PieceKind.PATH)  # disconnected
     c = gen.cycle(4)
-    assert not piece_shape(c, range(4), PieceKind.PATH)  # cycle, no endpoints
+    # a cycle has no endpoints
+    assert not piece_shape_mask(c, mask_of(range(4)), PieceKind.PATH)
     claw = gen.star(3)
-    assert not piece_shape(claw, range(4), PieceKind.PATH)  # degree-3 center
+    # the centre has degree 3
+    assert not piece_shape_mask(claw, mask_of(range(4)), PieceKind.PATH)
 
 
 def test_isometric_path_shape():
     c = gen.cycle(6)
     # 0-1-2-3 is induced but its endpoints are at distance 3 = length: isometric
-    assert piece_shape(c, [0, 1, 2, 3], PieceKind.ISOMETRIC_PATH)
+    assert piece_shape_mask(c, mask_of([0, 1, 2, 3]), PieceKind.ISOMETRIC_PATH)
     # 0-1-2-3-4 is an induced path but 0..4 are at distance 2 in C_6
-    assert piece_shape(c, [0, 1, 2, 3, 4], PieceKind.PATH)
-    assert not piece_shape(c, [0, 1, 2, 3, 4], PieceKind.ISOMETRIC_PATH)
+    assert piece_shape_mask(c, mask_of([0, 1, 2, 3, 4]), PieceKind.PATH)
+    assert not piece_shape_mask(c, mask_of([0, 1, 2, 3, 4]), PieceKind.ISOMETRIC_PATH)
 
 
 def test_sp_any_accepts_both():
-    assert piece_shape(gen.star(3), range(4), PieceKind.SP_ANY)
-    assert piece_shape(gen.path(4), range(4), PieceKind.SP_ANY)
-    assert not piece_shape(gen.cycle(4), range(4), PieceKind.SP_ANY)
+    assert piece_shape_mask(gen.star(3), mask_of(range(4)), PieceKind.SP_ANY)
+    assert piece_shape_mask(gen.path(4), mask_of(range(4)), PieceKind.SP_ANY)
+    assert not piece_shape_mask(gen.cycle(4), mask_of(range(4)), PieceKind.SP_ANY)
 
 
 def star_center_reference(g, mask):
@@ -153,6 +157,23 @@ def test_diameter_and_components_match_networkx(g):
         # the isometric partition's largest piece: a longest geodesic
         assert max(len(r) for r in g.rings) - 1 == 1 + max(
             nx.diameter(h.subgraph(c)) for c in nx.connected_components(h))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graphs(max_order=12, min_order=1), st.data())
+def test_distance_rings_match_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    h = to_networkx(nx, g)
+    root = data.draw(st.integers(0, g.order - 1))
+    by_distance = {}
+    for v, d in nx.single_source_shortest_path_length(h, root).items():
+        by_distance[d] = by_distance.get(d, 0) | 1 << v
+    assert distance_rings(g, root) == tuple(by_distance[d]
+                                            for d in range(len(by_distance)))
+    assert is_connected(g) == nx.is_connected(h)
+    outside = data.draw(st.integers(max_value=-1) | st.integers(min_value=g.order))
+    with pytest.raises(IndexOutOfRange):
+        distance_rings(g, outside)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -154,7 +154,7 @@ def test_distance_rings_built_once_per_graph(monkeypatch):
     # ispp needs g's distance rings for its largest piece size and for
     # the pieces through every least vertex: one BFS per vertex in all
     g = gen.random_connected(14, 0.3, random.Random(5))
-    real, calls = graph.bfs_layering, []
+    real, calls = graph.distance_rings, []
 
     def counted(h, root):
         calls.append(root)
@@ -162,8 +162,8 @@ def test_distance_rings_built_once_per_graph(monkeypatch):
 
     for info in pkgutil.iter_modules(coverlab.__path__):
         mod = importlib.import_module(f"coverlab.{info.name}")
-        if getattr(mod, "bfs_layering", None) is real:
-            monkeypatch.setattr(mod, "bfs_layering", counted)
+        if getattr(mod, "distance_rings", None) is real:
+            monkeypatch.setattr(mod, "distance_rings", counted)
     # so does validating its certificate, whose isometric test reads them
     cert = invariant_value(g, "ispp")
     assert cert.optimal and validate_certificate(g, cert)
