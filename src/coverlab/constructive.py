@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import generators as gen
-from .bounds import BoundValue, Status, xi_value
+from .bounds import BoundValue, Status, ramsey, xi_value
 from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      InternalInvariantBroken, PathTooLong, StarTooLarge)
 from .graph import (Graph, PieceKind, bits, certificate_fault, distance_rings,
@@ -171,8 +171,19 @@ def star_partition_neighborhood(g: Graph, x: int, X: Iterable[int], n: int,
 # -- bounded-diameter star cover / partition ---------------------------
 
 
-def _dominator_buckets(h: Graph) -> tuple[list[int], dict[int, int]]:
-    """Exact minimum dominating set and least-index dominator buckets."""
+def _dominator_buckets(h: Graph, n: int, precheck: bool,
+                       third: Callable[[int], Graph]) -> tuple[list[int], dict[int, int]]:
+    """The input checks of the bounded-diameter routines, then an exact
+    minimum dominating set and its least-index dominator buckets.
+
+    The freeness precheck forbids K_n, S*_n and `third(n)`.
+    """
+    if n < 3:
+        raise BadParameter("n >= 3 required")
+    if not is_connected(h):
+        raise Disconnected("input must be connected")
+    if precheck:
+        _check_free(h, (gen.complete(n), gen.s_star(n), third(n)))
     U = min_dominating_set(h)
     U_mask = mask_of(U)
     buckets = {x: 0 for x in U}
@@ -190,13 +201,7 @@ def insc_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
     Each dominator x covers its bucket with stars {x} ∪ T over the color
     classes T of an optimal proper coloring of the bucket.
     """
-    if n < 3:
-        raise BadParameter("n >= 3 required")
-    if not is_connected(h):
-        raise Disconnected("input must be connected")
-    if precheck:
-        _check_free(h, (gen.complete(n), gen.s_star(n), gen.f1(n)))
-    U, buckets = _dominator_buckets(h)
+    U, buckets = _dominator_buckets(h, n, precheck, gen.f1)
     stars: list[int] = []
     per_center = {}
     for x in U:
@@ -225,13 +230,7 @@ def insc_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
 def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
     """Induced star partition: dominator buckets refined by the
     neighborhood star-partition recursion."""
-    if n < 3:
-        raise BadParameter("n >= 3 required")
-    if not is_connected(h):
-        raise Disconnected("input must be connected")
-    if precheck:
-        _check_free(h, (gen.complete(n), gen.s_star(n), gen.s_tilde(n)))
-    U, buckets = _dominator_buckets(h)
+    U, buckets = _dominator_buckets(h, n, precheck, gen.s_tilde)
     stars: list[int] = []
     sub_traces = []
     for x in U:
@@ -290,23 +289,16 @@ def _parent(g: Graph, rings: Sequence[int], x: int, i: int) -> int:
     return _least(up)
 
 
-def _least_index_shortest_path(g: Graph, rings: Sequence[int], target: int,
-                               i: int) -> list[int]:
-    """Shortest root->target path, target in layer i, taking the
-    least-index parent at each step."""
-    path = [target]
-    for j in range(i, 0, -1):
-        path.append(_parent(g, rings, path[-1], j))
-    path.reverse()
-    return path
-
-
 def _build_q_paths(g: Graph, n: int, root: int, rings: tuple[int, ...],
                    nu: int) -> _LayeredState:
     st = _LayeredState(g, n, root, rings, nu, [0], [], [])
 
     def add(k_h: int, w: int) -> None:
-        q = _least_index_shortest_path(g, rings, w, k_h)
+        # shortest root->w path, taking the least-index parent at each step
+        q = [w]
+        for j in range(k_h, 0, -1):
+            q.append(_parent(g, rings, q[-1], j))
+        q.reverse()
         st.k.append(k_h)
         st.q_paths.append(q)
         st.q_masks.append(mask_of(q))
@@ -399,91 +391,60 @@ def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
 
 
 def _nu(n: int) -> int:
-    from .bounds import ramsey
     return ramsey(n - 1, n).value - 1
 
 
-def _woven_paths(st: _LayeredState, p: int, Jp: range) -> list[int]:
-    """Induced path cover of the J' band at stage p, as vertex masks."""
-    Jp_prime = range(Jp.start, Jp.stop - 1)  # drop the top band layer
-    if len(Jp_prime) == 0:
-        return []
-    nu = st.nu
-    per_layer = {i: _slices(st, p, i) for i in Jp_prime}
+def _woven_paths(st: _LayeredState, p: int, band: range) -> list[int]:
+    """Induced path cover of the band layers `band` at stage p, as vertex masks."""
+    per_layer = [_slices(st, p, i) for i in band]
     masks = []
     for l in range(p):
-        for j in range(1, nu + 1):
+        for j in range(st.nu):
             path = []
-            for i in Jp_prime:
-                sl = per_layer[i][l]
+            for slices in per_layer:
+                sl = slices[l]
                 if not sl:
                     raise InternalInvariantBroken(
                         "empty slice inside a band layer")
-                path.append(sl[j - 1] if j <= len(sl) else sl[-1])
+                path.append(sl[min(j, len(sl) - 1)])
             masks.append(mask_of(path))
     # padding repeats vertices, so distinct (l, j) may give the same set
-    seen = set()
-    out = []
-    for mask in masks:
-        if mask not in seen:
-            seen.add(mask)
-            out.append(mask)
-    return out
+    return list(dict.fromkeys(masks))
 
 
-def _band_segments(st: _LayeredState, p: int, Jp: range) -> list[int]:
-    """Path partition of the J' band: each Q-path restricted to the band."""
-    Jp_prime = range(Jp.start, Jp.stop - 1)
-    if len(Jp_prime) == 0:
-        return []
-    band = 0
-    for i in Jp_prime:
-        band |= st.rings[i]
+def _band_segments(st: _LayeredState, p: int, band: range) -> list[int]:
+    """Path partition of the band layers `band`: each Q-path restricted to them."""
+    out = [mask_of(st.q_paths[l][i] for i in band) for l in range(p)]
     covered = 0
-    out = []
-    for l in range(p):
-        seg = mask_of(st.q_paths[l][i] for i in Jp_prime)
-        out.append(seg)
+    for seg in out:
         covered |= seg
-    if covered != band:
+    if covered != sum(st.rings[i] for i in band):
         raise InternalInvariantBroken(
             "band layer leaves the Q-paths; path partition impossible")
     return out
 
 
 def _forest_blocks(st: _LayeredState, lo: int, hi: int) -> list[tuple[int, list[int]]]:
-    """Split layers lo..hi by least-index parent forests.
+    """Split layers lo..hi (lo < hi) by least-index parent forests.
 
-    Returns (root_vertex, vertices) per component; each component meets
-    layer lo exactly once.
+    Returns (root_vertex, vertices) per component, sorted by root.  Each
+    vertex of layer lo owns its component; layer by layer, every later
+    vertex joins the component of its least-index parent.
     """
-    g = st.g
-    parent = {}
-    members = []
-    for i in range(lo, hi + 1):
+    owner = {x: x for x in bits(st.rings[lo])}
+    for i in range(lo + 1, hi + 1):
         for x in bits(st.rings[i]):
-            members.append(x)
-            if i > lo:
-                parent[x] = _parent(g, st.rings, x, i)
-
-    def find_root(x: int) -> int:
-        while x in parent:
-            x = parent[x]
-        return x
-
+            owner[x] = owner[_parent(st.g, st.rings, x, i)]
     comps: dict[int, list[int]] = {}
-    for x in members:
-        comps.setdefault(find_root(x), []).append(x)
-    base = st.rings[lo]
-    for root in comps:
-        if base and not base >> root & 1:
-            raise InternalInvariantBroken("forest component root off the base layer")
+    for x, root in owner.items():
+        comps.setdefault(root, []).append(x)
     return sorted(comps.items())
 
 
-def _star_blocks(st: _LayeredState, lo: int, hi: int, mode: str,
+def _star_blocks(st: _LayeredState, lo: int, hi: int,
+                 bounded: Callable[..., ConstructionTrace],
                  max_diam: int, max_blocks: Optional[int]) -> list[int]:
-    """Star cover/partition of layers lo..hi via per-component recursion."""
+    """Star cover/partition of layers lo..hi: `bounded` on each component."""
     g, n = st.g, st.n
     blocks = _forest_blocks(st, lo, hi)
     if max_blocks is not None and len(blocks) > max_blocks:
@@ -500,10 +461,7 @@ def _star_blocks(st: _LayeredState, lo: int, hi: int, mode: str,
         if depth > max_diam:
             raise InternalInvariantBroken(
                 f"component eccentricity {depth} exceeds {max_diam}")
-        if mode == "cover":
-            t = insc_bounded(sub, n, precheck=False)
-        else:
-            t = insp_bounded(sub, n, precheck=False)
+        t = bounded(sub, n, precheck=False)
         for piece in t.result.pieces:
             stars.append(mask_of(verts[v] for v in piece))
     return stars
@@ -517,22 +475,19 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
     rings = distance_rings(g, root)
     if sum(rings) != g.full_mask:
         raise Disconnected("input must be connected")
-    if mode == "cover":
-        family = target_family("inspc", n)
-        algorithm = "sp_cover_construct"
-    else:
-        family = target_family("inspp", n)
-        algorithm = "sp_partition_construct"
-    _check_free(g, family.members)
+    # the one place that tells cover from partition; the routines are
+    # looked up by their module names on each run, as tracers wrap them
+    cover = mode == "cover"
+    bounded = insc_bounded if cover else insp_bounded
+    band_pieces = _woven_paths if cover else _band_segments
+    _check_free(g, target_family("inspc" if cover else "inspp", n).members)
+    algorithm = f"sp_{mode}_construct"
 
     d = len(rings) - 1
     bound_note = BoundValue(None, Status.UPPER_BOUND_ONLY,
                             note="bound component not materialized")
     if d <= n * n + 2 * n - 1:
-        if mode == "cover":
-            t = insc_bounded(g, n, precheck=False)
-        else:
-            t = insp_bounded(g, n, precheck=False)
+        t = bounded(g, n, precheck=False)
         intermediate = {"branch": "small_diameter", "depth": d,
                         "delegate": t.intermediate}
         return ConstructionTrace(algorithm, n, intermediate, t.result, bound_note)
@@ -543,27 +498,23 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
     pieces: list[int] = []
     band_logs = []
     for p in L:
-        Jp = J[p]
-        if mode == "cover":
-            got = _woven_paths(st, p, Jp)
-        else:
-            got = _band_segments(st, p, Jp)
+        band = range(J[p].start, J[p].stop - 1)  # J'_p: drop the top band layer
+        got = band_pieces(st, p, band) if band else []
         pieces.extend(got)
-        band_logs.append({"stage": p, "layers": [Jp.start, Jp.stop - 2],
+        band_logs.append({"stage": p, "layers": [band.start, band.stop - 1],
                           "paths": len(got)})
-    nu = st.nu
     block_logs = []
     for idx, p in enumerate(L):
         lo = m[p] - 1
         hi = st.k[L[idx - 1] + 1] if idx > 0 else st.k[1]
-        stars = _star_blocks(st, lo, hi, mode, n * n - 1, (n - 1) * nu)
+        stars = _star_blocks(st, lo, hi, bounded, n * n - 1, (n - 1) * st.nu)
         pieces.extend(stars)
         block_logs.append({"block": idx + 1, "layers": [lo, hi],
                            "stars": len(stars)})
     lo, hi = 0, st.k[L[-1] + 1]
     if hi > n * n + 2 * n - 1:
         raise InternalInvariantBroken("root block deeper than the diameter bound")
-    stars = _star_blocks(st, lo, hi, mode, n * n + 2 * n - 1, None)
+    stars = _star_blocks(st, lo, hi, bounded, n * n + 2 * n - 1, None)
     pieces.extend(stars)
     block_logs.append({"block": "root", "layers": [lo, hi], "stars": len(stars)})
 

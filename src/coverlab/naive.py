@@ -27,17 +27,13 @@ def _maximal(masks: list[int]) -> list[int]:
     return out
 
 
-def naive_min_cover(g: Graph, kind: PieceKind) -> int:
-    """Try every k-subfamily of maximal pieces for k = 1, 2, ...
+def naive_min_cover(g: Graph, masks: list[int]) -> int:
+    """Try every k-subfamily of the maximal pieces among `masks`, the
+    list from `all_piece_masks`, for k = 1, 2, ...
 
     Restricting to maximal pieces is sound for covers: replacing any
     piece by a maximal superset keeps a cover a cover.
     """
-    return _min_cover_of(g, all_piece_masks(g, kind))
-
-
-def _min_cover_of(g: Graph, masks: list[int]) -> int:
-    """naive_min_cover with the piece list `masks` already enumerated."""
     if g.order == 0:
         return 0
     pieces = _maximal(masks)
@@ -64,13 +60,9 @@ def _set_partitions(items: list[int]):
         yield part + [1 << first]
 
 
-def naive_min_partition(g: Graph, kind: PieceKind) -> int:
-    """Minimum over all set partitions of V whose blocks are all pieces."""
-    return _min_partition_of(g, all_piece_masks(g, kind))
-
-
-def _min_partition_of(g: Graph, masks: list[int]) -> int:
-    """naive_min_partition with the piece list `masks` already enumerated."""
+def naive_min_partition(g: Graph, masks: list[int]) -> int:
+    """Minimum over all set partitions of V whose blocks are all in
+    `masks`, the piece list from `all_piece_masks`."""
     if g.order == 0:
         return 0
     pieces = set(masks)

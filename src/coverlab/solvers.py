@@ -120,12 +120,33 @@ def _independence_number(g: Graph, within: int, floor: int = 0) -> int:
     return best
 
 
+def _clique_cover_size(g: Graph, within: int) -> int:
+    """The number of cliques in a greedy clique cover of g[within]: each
+    clique grows from the least vertex left by the least vertex it sees."""
+    count = 0
+    while within:
+        count += 1
+        cand = within
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            within &= ~(1 << v)
+            cand &= g.adj[v]
+    return count
+
+
 def _largest_star(g: Graph) -> int:
-    """The order of a largest induced star: 1 + max_c alpha(N(c))."""
+    """The order of a largest induced star: 1 + max_c alpha(N(c)).
+
+    alpha is at most the number of cliques in any clique cover, so a
+    centre whose neighbourhood has a greedy cover by at most best - 1
+    cliques cannot beat the best, and is skipped.
+    """
     best = 1
     for c in g.by_degree:
         if 1 + g.degree(c) <= best:
             break
+        if _clique_cover_size(g, g.adj[c]) < best:
+            continue
         best = 1 + _independence_number(g, g.adj[c], best - 1)
     return best
 
@@ -324,7 +345,11 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     if mode == "cover":
         pieces = enumerate_maximal_pieces(g, kind)
         max_size = pieces[0].bit_count()
-        by_vertex = [[m for m in pieces if m >> v & 1] for v in range(g.order)]
+        # each list keeps the (-size, mask) order of `pieces`
+        by_vertex: list[list[int]] = [[] for _ in range(g.order)]
+        for m in pieces:
+            for v in bits(m):
+                by_vertex[v].append(m)
         # vertices in the fewest pieces first, ties by label
         fewest = sorted(range(g.order), key=lambda w: len(by_vertex[w]))
 

@@ -86,9 +86,9 @@ def oracle_agrees(g: Graph) -> bool:
     """The exact solvers match the brute-force oracles on every piece kind."""
     for kind in PieceKind:
         masks = naive.all_piece_masks(g, kind)  # shared by both brute-force searches
-        if (solvers.min_cover(g, kind).value != naive._min_cover_of(g, masks)
+        if (solvers.min_cover(g, kind).value != naive.naive_min_cover(g, masks)
                 or (solvers.min_partition(g, kind).value
-                    != naive._min_partition_of(g, masks))):
+                    != naive.naive_min_partition(g, masks))):
             return False
     return True
 

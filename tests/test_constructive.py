@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import coverlab.cli  # noqa: F401  -- loads every module a tracer wraps
 from coverlab import generators as gen
 from coverlab.bounds import BoundValue, Status
 from coverlab.constructive import (_LayeredState, _build_q_paths,
@@ -345,6 +346,20 @@ def test_layered_helpers_match_reference(name, g, n):
     blocks.append((0, st.k[L[-1] + 1]))
     for lo, hi in blocks:
         assert _forest_blocks(st, lo, hi) == ref_forest_blocks(st, lo, hi)
+
+
+def test_mode_switch_calls_the_traced_bounded_routines(tracing):
+    # `_sp_construct` must look the routines up by their module names
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for construct in (sp_cover_construct, sp_partition_construct):
+            assert construct(gen.path(200), 4).intermediate["branch"] == "long"
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["constructive.insc_bounded.calls"] > 0
+    assert metrics["constructive.insp_bounded.calls"] > 0
 
 
 def two_path_state(extra_edges, nu=8):

@@ -1,9 +1,8 @@
-import importlib.util
+import importlib
 import math
 import pkgutil
 import random
 from itertools import combinations, count
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -147,7 +146,8 @@ def test_partitions_enumerate_no_maximal_pieces(monkeypatch):
         if mode == "partition":
             cert = invariant_value(g, name)
             assert cert.optimal and validate_certificate(g, cert)
-            assert cert.value == naive.naive_min_partition(g, kind), name
+            assert cert.value == naive.naive_min_partition(
+                g, naive.all_piece_masks(g, kind)), name
 
 
 def test_distance_rings_built_once_per_graph(monkeypatch):
@@ -281,11 +281,7 @@ def test_pieces_at_match_brute_force_random_within(g, data):
             m for m in brute_pieces(g, kind) if m >> v & 1 and m & within == m), kind
 
 
-def test_tracer_binds_solver_and_suite_names():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+def test_tracer_binds_solver_and_suite_names(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -297,16 +293,26 @@ def test_tracer_binds_solver_and_suite_names():
                for name in ("lemma41", "lemma42", "theorems"))
 
 
-def test_tracer_tables_name_coverlab_functions():
+def test_tracer_tables_name_coverlab_functions(tracing):
     # a renamed or removed function would otherwise drop out of traced runs
     # without an error: `Tracer.install` looks each one up by name
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     for module, fn in [*tracing.SPANNED, *tracing.COUNTED]:
         mod = importlib.import_module(f"coverlab.{module}")
         assert callable(getattr(mod, fn, None)), f"coverlab.{module}.{fn}"
+
+
+def test_traced_oracle_suite_calls_the_naive_oracles(tracing, capsys):
+    # `verify oracle` must reach the brute-force oracles by their traced names
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "oracle", "--count", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "4/4 checks passed" in capsys.readouterr().out
+    metrics = tracer.metrics()
+    assert metrics["naive.naive_min_cover.calls"] > 0
+    assert metrics["naive.naive_min_partition.calls"] > 0
 
 
 def brute_chromatic(g):
@@ -414,6 +420,20 @@ def largest_star_by_brute_force(g):
     return max(m.bit_count() for m in brute_pieces(g, PieceKind.STAR))
 
 
+def test_largest_star_skips_centres_a_clique_cover_rules_out(monkeypatch):
+    # every neighbourhood of K_60 is one clique: once a star of two
+    # vertices is found, no other centre needs its independence number
+    real, calls = solvers._independence_number, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_independence_number", counted)
+    assert solvers._largest_star(gen.complete(60)) == 2
+    assert len(calls) == 1
+
+
 def test_largest_star_matches_brute_force_named():
     for name, g in NAMED_GRAPHS:
         assert solvers._largest_star(g) == largest_star_by_brute_force(g), name
@@ -494,5 +514,6 @@ def test_budgeted_search_matches_naive(g):
         cert = invariant_value(g, name)
         oracle = (naive.naive_min_cover if mode == "cover"
                   else naive.naive_min_partition)
-        assert cert.optimal and cert.value == oracle(g, kind), name
+        assert cert.optimal and cert.value == oracle(
+            g, naive.all_piece_masks(g, kind)), name
         assert validate_certificate(g, cert), name
