@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .errors import FormatError
+
 
 class Status(Enum):
     EXACT = "exact"
@@ -52,15 +54,30 @@ TABLE_ENV_VAR = "COVERLAB_TABLE_PATH"
 
 
 def _load_table() -> dict[tuple[int, int], int]:
+    """The table at $COVERLAB_TABLE_PATH, else the built-in one.  A file
+    that is not a JSON object of "s,t": value entries, each a positive
+    integer, raises FormatError."""
     path = os.environ.get(TABLE_ENV_VAR)
     if not path:
         return dict(DEFAULT_TABLE)
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise FormatError(f"Ramsey table {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise FormatError(f'Ramsey table {path}: want an object of "s,t": value entries')
     table = {}
     for key, value in raw.items():
-        s, t = (int(x) for x in key.split(","))
-        table[(min(s, t), max(s, t))] = int(value)
+        try:
+            s, t = (int(x) for x in key.split(","))
+        except ValueError:
+            s = t = 0
+        if min(s, t) < 1 or type(value) is not int or value < 1:
+            raise FormatError(f'Ramsey table {path}: bad entry "{key}": '
+                              f'{json.dumps(value)}; want "s,t": value, '
+                              'all positive integers')
+        table[(min(s, t), max(s, t))] = value
     return table
 
 

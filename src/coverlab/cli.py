@@ -87,7 +87,8 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     _check_timeout(args.timeout)
     g = _load_graph(args.graph, args.format)
-    names = [s.strip() for s in args.invariants.split(",")]
+    # each name once, in the order given
+    names = list(dict.fromkeys(s.strip() for s in args.invariants.split(",")))
     for name in names:
         if name not in solvers.INVARIANT_SPECS:
             raise ParseError(f"unknown invariant {name!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import Disconnected
 from .graph import Graph, PieceKind, bits, certificate_fault, is_connected, mask_of
@@ -312,9 +312,11 @@ def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
 # -- exact solvers -----------------------------------------------------
 
 
-def _solve(g: Graph, kind: PieceKind, mode: str,
-           config: SolveConfig) -> PieceCertificate:
-    """Memoized branch and bound over the set u of vertices left to take.
+def _search(full: int, max_size: int, branch: Callable[[int], Iterable[int]],
+            deadline: _Deadline) -> tuple[int, Sequence[int], bool]:
+    """The fewest pieces from `branch` whose union is `full`, as (value,
+    pieces, optimal): memoized branch and bound over the set u of
+    vertices left to take.
 
     `branch(u)` lists the pieces that may take one vertex of u, best
     first, so the vertices of u left after each are never fewer than
@@ -326,86 +328,11 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     pieces.  The memo keeps either kind of answer; a lower bound too low
     for a later limit only raises that node's floor.  The root's limit is
     the size of the incumbent, and each child's is one less than the best
-    its node has found.  A cover uses maximal pieces only and branches on
-    the vertex of u in the fewest of them.  A partition branches on the
-    least vertex v of u: every vertex of u is at least v, so the pieces inside
-    u that hold v are those of `pieces_at(g, V>=v, v, kind)` inside u.
-    Its max_size is the largest star, the longest induced path or one
-    more than the largest component diameter, with no maximal pieces.
-    All nodes share their list, and stars join it one size class at a
-    time, largest first, only as far as a node reads it.  The incumbent
-    follows the first candidate at each node.  On timeout the result is
-    the better of it and the best solution the root has completed, with
-    the bound ceil(n / max_size).
+    its node has found.  The incumbent follows the first candidate at
+    each node.  On timeout the result is the better of it and the best
+    solution the root has completed, with the bound ceil(|full| /
+    max_size).
     """
-    if g.order == 0:
-        return PieceCertificate(kind, mode, (), True, 0)
-    deadline = _Deadline(config.timeout)
-    full = g.full_mask
-    if mode == "cover":
-        pieces = enumerate_maximal_pieces(g, kind)
-        max_size = pieces[0].bit_count()
-        # each list keeps the (-size, mask) order of `pieces`
-        by_vertex: list[list[int]] = [[] for _ in range(g.order)]
-        for m in pieces:
-            for v in bits(m):
-                by_vertex[v].append(m)
-        # vertices in the fewest pieces first, ties by label
-        fewest = sorted(range(g.order), key=lambda w: len(by_vertex[w]))
-
-        def branch(u: int) -> Iterable[int]:
-            v = next(w for w in fewest if u >> w & 1)
-            return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
-    else:
-        longest_path = 0
-        if kind is PieceKind.ISOMETRIC_PATH:
-            # rings[v] holds ecc(v) + 2 rings, the last one empty; a longest
-            # geodesic has one vertex more than a component's largest ecc
-            max_size = max(len(ring) for ring in g.rings) - 1
-        elif kind is PieceKind.PATH:
-            max_size = _longest_path(g)
-        else:
-            max_size = _largest_star(g)
-            if kind is PieceKind.SP_ANY:
-                # `_star_classes` takes every piece of up to three
-                # vertices from the paths, so it walks them from there
-                path = _longest_path(g)
-                max_size, longest_path = max(max_size, path), max(path, 3)
-        # v -> [the pieces listed so far, in (-size, mask) order; a
-        # generator of lists of the rest, or None once none are left].
-        # A path kind lists its pieces at once; stars, and the paths that
-        # join them in SP_ANY, come one size class at a time, when read.
-        at: dict[int, list] = {}
-
-        def branch(u: int) -> Iterable[int]:
-            v = (u & -u).bit_length() - 1
-            entry = at.get(v)
-            if entry is None:
-                within = full >> v << v
-                if kind is PieceKind.STAR or kind is PieceKind.SP_ANY:
-                    entry = [[], _star_classes(g, within, v, max_size, longest_path)]
-                else:
-                    entry = [pieces_at(g, within, v, kind), None]
-                at[v] = entry
-            if entry[1] is None:
-                return (m for m in entry[0] if m & u == m)
-            return read(entry, u)
-
-        def read(entry: list, u: int) -> Iterator[int]:
-            listed, n = entry[0], 0
-            while True:
-                if n == len(listed):
-                    cls = None if entry[1] is None else next(entry[1], None)
-                    if cls is None:
-                        entry[1] = None
-                        return
-                    listed += cls
-                chunk = listed[n:]
-                n += len(chunk)
-                for m in chunk:
-                    if m & u == m:
-                        yield m
-
     incumbent, u = [], full
     while u:
         m = next(iter(branch(u)))
@@ -450,27 +377,100 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
             val, masks = len(incumbent), incumbent
         optimal = True
     except _TimeUp:
-        val, masks, optimal = -(-g.order // max_size), incumbent, False
+        val, masks, optimal = -(-full.bit_count() // max_size), incumbent, False
     # solve refers to itself; break the cycle so that the memo and the
     # piece lists are freed now, not at the next full garbage collection
     del solve
-    return PieceCertificate(kind, mode, tuple(tuple(bits(m)) for m in masks),
-                            optimal, val)
+    return val, masks, optimal
 
 
-def _star_classes(g: Graph, within: int, v: int, max_size: int,
-                  longest_path: int) -> Iterator[list[int]]:
-    """The stars through v inside `within`, one size class at a time,
-    largest first, each sorted by mask; with a positive `longest_path`,
-    merged with the induced paths through v.
+def _cover_branch(order: int, pieces: Sequence[int]) -> Callable[[int], list[int]]:
+    """A cover's branch over `pieces`, sorted by (-size, mask): the vertex
+    of u in the fewest pieces, ties by label, and its pieces, most
+    vertices of u first."""
+    # each list keeps the (-size, mask) order of `pieces`
+    by_vertex: list[list[int]] = [[] for _ in range(order)]
+    for m in pieces:
+        for v in bits(m):
+            by_vertex[v].append(m)
+    fewest = sorted(range(order), key=lambda w: len(by_vertex[w]))
 
-    Each star class comes from its own `pieces_at` call, made when the
-    class before it has been read.  A star through v has its centre in
-    N[v], so its order is at most one more than the most neighbours such
-    a centre has inside `within`.  The paths are walked in one
-    `pieces_at` call, made when the first class of at most `longest_path`
-    vertices is read: no induced path is longer.
+    def branch(u: int) -> list[int]:
+        v = next(w for w in fewest if u >> w & 1)
+        return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
+    return branch
+
+
+def _partition_branch(g: Graph,
+                      kind: PieceKind) -> tuple[int, Callable[[int], Iterable[int]]]:
+    """A partition's largest piece size, with no maximal pieces: the
+    largest star, the longest induced path or one more than the largest
+    component diameter; and its branch on the least vertex v of u, whose
+    pieces inside u are those of `pieces_at(g, V>=v, v, kind)` inside u.
+    All nodes share v's list, which `_piece_classes` fills one class at
+    a time, only as far as a node reads it."""
+    longest_path = 0
+    if kind is PieceKind.ISOMETRIC_PATH:
+        # rings[v] holds ecc(v) + 2 rings, the last one empty; a longest
+        # geodesic has one vertex more than a component's largest ecc
+        max_size = max(len(ring) for ring in g.rings) - 1
+    elif kind is PieceKind.PATH:
+        max_size = _longest_path(g)
+    else:
+        max_size = _largest_star(g)
+        if kind is PieceKind.SP_ANY:
+            # `_piece_classes` takes every piece of up to three vertices
+            # from the paths, so it walks them from there
+            path = _longest_path(g)
+            max_size, longest_path = max(max_size, path), max(path, 3)
+    # v -> [the pieces listed so far, in (-size, mask) order; the generator
+    # of the classes of the rest, or None once none are left]
+    at: dict[int, list] = {}
+
+    def branch(u: int) -> Iterable[int]:
+        v = (u & -u).bit_length() - 1
+        entry = at.get(v)
+        if entry is None:
+            entry = at[v] = [[], _piece_classes(g, g.full_mask >> v << v, v, kind,
+                                                max_size, longest_path)]
+        if entry[1] is None:
+            return (m for m in entry[0] if m & u == m)
+        return read(entry, u)
+
+    def read(entry: list, u: int) -> Iterator[int]:
+        listed, n = entry[0], 0
+        while True:
+            if n == len(listed):
+                cls = None if entry[1] is None else next(entry[1], None)
+                if cls is None:
+                    entry[1] = None
+                    return
+                listed += cls
+            chunk = listed[n:]
+            n += len(chunk)
+            for m in chunk:
+                if m & u == m:
+                    yield m
+    return max_size, branch
+
+
+def _piece_classes(g: Graph, within: int, v: int, kind: PieceKind,
+                   max_size: int, longest_path: int) -> Iterator[list[int]]:
+    """The pieces of `kind` through v inside `within`, in classes that
+    follow one another in (-size, mask) order: a path kind's all in one.
+
+    Stars come one size class at a time, largest first, each sorted by
+    mask and from its own `pieces_at` call, made when the class before
+    it has been read; with a positive `longest_path`, merged with the
+    induced paths through v.  A star through v has its centre in N[v],
+    so its order is at most one more than the most neighbours such a
+    centre has inside `within`.  The paths are walked in one `pieces_at`
+    call, made when the first class of at most `longest_path` vertices
+    is read: no induced path is longer.
     """
+    if kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH:
+        yield pieces_at(g, within, v, kind)
+        return
     top = min(max_size, 1 + max((g.adj[c] & within).bit_count()
                                 for c in bits(within & (g.adj[v] | 1 << v))))
     paths: Optional[dict[int, list[int]]] = None
@@ -489,6 +489,24 @@ def _star_classes(g: Graph, within: int, v: int, max_size: int,
             cls = sorted(cls + paths[k])
         if cls:
             yield cls
+
+
+def _solve(g: Graph, kind: PieceKind, mode: str,
+           config: SolveConfig) -> PieceCertificate:
+    """A least cover (over the maximal pieces) or partition of V(G) by
+    pieces of `kind`: `_search` over its mode's branch, with a deadline
+    that starts before any piece is listed or the largest size found."""
+    if g.order == 0:
+        return PieceCertificate(kind, mode, (), True, 0)
+    deadline = _Deadline(config.timeout)
+    if mode == "cover":
+        pieces = enumerate_maximal_pieces(g, kind)
+        max_size, branch = pieces[0].bit_count(), _cover_branch(g.order, pieces)
+    else:
+        max_size, branch = _partition_branch(g, kind)
+    val, masks, optimal = _search(g.full_mask, max_size, branch, deadline)
+    return PieceCertificate(kind, mode, tuple(tuple(bits(m)) for m in masks),
+                            optimal, val)
 
 
 def min_cover(g: Graph, kind: PieceKind,
@@ -597,41 +615,16 @@ def chromatic_number(g: Graph) -> int:
 
 
 def min_dominating_set(g: Graph) -> list[int]:
-    """A minimum dominating set (as a sorted vertex list)."""
+    """A minimum dominating set, as a sorted vertex list: a least cover of
+    V by closed neighbourhoods, each distinct N[v] standing for its least v."""
     if g.order == 0:
         return []
     if not is_connected(g):
         raise Disconnected("dominating-set subroutine requires a connected graph")
-    closed = [g.adj[v] | 1 << v for v in range(g.order)]
-    max_size = max(m.bit_count() for m in closed)
-    # greedy incumbent
-    u = g.full_mask
-    greedy = []
-    while u:
-        v = max(range(g.order), key=lambda w: (closed[w] & u).bit_count())
-        greedy.append(v)
-        u &= ~closed[v]
-    best = [len(greedy), sorted(greedy)]
-    memo: dict[int, int] = {}
-
-    def solve(u: int, chosen: list[int]):
-        if not u:
-            if len(chosen) < best[0]:
-                best[0] = len(chosen)
-                best[1] = sorted(chosen)
-            return
-        if len(chosen) + -(-u.bit_count() // max_size) >= best[0]:
-            return
-        prev = memo.get(u)
-        if prev is not None and prev <= len(chosen):
-            return
-        memo[u] = len(chosen)
-        # branch on the undominated vertex with fewest dominators
-        v = min(bits(u), key=lambda w: closed[w].bit_count())
-        for d in sorted(bits(closed[v]), key=lambda w: -(closed[w] & u).bit_count()):
-            chosen.append(d)
-            solve(u & ~closed[d], chosen)
-            chosen.pop()
-
-    solve(g.full_mask, [])
-    return best[1]
+    owner: dict[int, int] = {}
+    for v in range(g.order):
+        owner.setdefault(g.adj[v] | 1 << v, v)
+    pieces = sorted(owner, key=lambda m: (-m.bit_count(), m))
+    masks = _search(g.full_mask, pieces[0].bit_count(),
+                    _cover_branch(g.order, pieces), _Deadline(None))[1]
+    return sorted(owner[m] for m in masks)

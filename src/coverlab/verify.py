@@ -9,6 +9,7 @@ is written down here only.
 from __future__ import annotations
 
 import math
+import os
 import random
 from functools import partial
 
@@ -113,8 +114,10 @@ def _seeded_case(suite: str, seed: int) -> Check:
 def seeded(suite: str, seed: int = 0, count: int = 200,
            jobs: int = 1) -> list[Check]:
     """One check of a seeded suite per seed in seed .. seed+count-1,
-    spread over `jobs` processes."""
+    spread over `jobs` processes, but no more than there are cases or
+    CPUs."""
     cases = [(suite, s) for s in range(seed, seed + count)]
+    jobs = min(jobs, len(cases), os.cpu_count() or 1)
     if jobs > 1:
         # imported here, so that only a run with jobs > 1 pays for it
         from multiprocessing import Pool

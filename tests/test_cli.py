@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coverlab
-from coverlab import cli
+from coverlab import bounds, cli, verify
 from coverlab.formats import from_edge_list, from_graph6
 
 
@@ -177,6 +178,40 @@ def test_convert_cover(tmp_path, capsys):
     assert code == 2  # a 9-vertex path piece cannot become stars at n=4
 
 
+def test_solve_solves_each_named_invariant_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "c5.txt"
+    run(capsys, "gen", "c:5", "--out", str(path))
+    solved = []
+
+    def counted(g, name, config, solve=cli.solvers.invariant_value):
+        solved.append(name)
+        return solve(g, name, config)
+
+    monkeypatch.setattr(cli.solvers, "invariant_value", counted)
+    code, out, _ = run(capsys, "solve", str(path), "--invariants",
+                       "inspc,insp,inspc, insp")
+    assert code == 0 and solved == ["inspc", "insp"]
+    assert sorted(json.loads(out)["invariants"]) == ["insp", "inspc"]
+
+
+@pytest.mark.parametrize("table", ['{"3,3": ', '{"3": 6}', '[6]', '{"3,3": 6.5}',
+                                   '{"3,0": 6}', '{"3,3": "6"}'])
+@pytest.mark.parametrize("command", ["construct", "bounds"])
+def test_malformed_table_exits_4(tmp_path, monkeypatch, capsys, table, command):
+    p40, bad = tmp_path / "p40.txt", tmp_path / "table.json"
+    run(capsys, "gen", "p:40", "--out", str(p40))
+    bad.write_text(table)
+    monkeypatch.setenv(bounds.TABLE_ENV_VAR, str(bad))
+    # a value found by search in an earlier test would skip the table
+    monkeypatch.setattr(bounds, "_search_cache", {})
+    argv = {"construct": ("construct", str(p40), "--mode", "cover", "--n", "4"),
+            "bounds": ("bounds", "ramsey", "3", "4")}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: Ramsey table {bad}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "bounds", "ramsey", "3", "4")
     assert code == 0 and "= 9" in out
@@ -236,6 +271,39 @@ def test_solve_large_star_partition_from_stdin(monkeypatch, capsys):
 def test_verify_jobs(capsys):
     code, out, _ = run(capsys, "verify", "oracle", "--count", "6", "--jobs", "2")
     assert code == 0 and "6/6" in out
+
+
+def test_verify_pool_has_no_more_workers_than_cases_or_cpus(monkeypatch, capsys):
+    started = []
+
+    class InlinePool:
+        """Records its size and runs the cases here: no process starts."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, cases):
+            return [fn(*case) for case in cases]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    code, out, _ = run(capsys, "verify", "oracle", "--count", "4",
+                       "--jobs", "100000")
+    assert code == 0 and out.endswith("\n4/4 checks passed\n")
+    assert started == [4]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert verify.seeded("chains", 5, 6, 100_000) == verify.seeded("chains", 5, 6)
+    assert started == [4, 3]
+    for cpus in (1, None):  # one CPU: no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert len(verify.seeded("chains", 0, 2, 8)) == 2
+    assert started == [4, 3]
 
 
 def test_verify_jobs_below_one(capsys):

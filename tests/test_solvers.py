@@ -382,6 +382,34 @@ def test_min_dominating_set():
         min_dominating_set(build_graph(4, [(0, 1), (2, 3)]))
 
 
+@st.composite
+def connected_graphs(draw, max_order=9):
+    """A tree, each vertex joined to a drawn earlier one, plus drawn edges."""
+    n = draw(st.integers(1, max_order))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u, v) not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(extra),
+                         max_size=len(extra)))
+    return build_graph(n, sorted(tree) + [e for e, k in zip(extra, keep) if k])
+
+
+def dominates(g, d):
+    dm = mask_of(d)
+    return all((g.adj[v] | 1 << v) & dm for v in range(g.order))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(connected_graphs())
+def test_min_dominating_set_matches_brute_force(g):
+    d = min_dominating_set(g)
+    gamma = next(k for k in count(1) if any(
+        dominates(g, c) for c in combinations(range(g.order), k)))
+    assert len(d) == gamma
+    assert dominates(g, d)
+    assert d == sorted(set(d))
+
+
 def test_known_small_values():
     c5 = gen.cycle(5)
     assert min_cover(c5, PieceKind.SP_ANY).value == 2
