@@ -71,8 +71,8 @@ def _parse_family(spec: str) -> ForbiddenFamily:
 
 def _check_timeout(timeout: Optional[float]) -> None:
     # a NaN deadline would compare false everywhere and never fire
-    if timeout is not None and not math.isfinite(timeout):
-        raise BadParameter(f"--timeout must be a finite number, got {timeout}")
+    if timeout is not None and not (math.isfinite(timeout) and timeout >= 0):
+        raise BadParameter(f"--timeout must be a finite number >= 0, got {timeout}")
 
 
 # -- commands ----------------------------------------------------------
@@ -103,7 +103,7 @@ def cmd_solve(args) -> int:
     values = {}
     for name in names:
         cert = solvers.invariant_value(g, name, cfg)
-        if cert.optimal and not solvers.validate_certificate(g, cert):
+        if not solvers.validate_certificate(g, cert):
             raise InternalInvariantBroken(f"{name}: certificate failed validation")
         timed_out |= not cert.optimal
         values[name] = cert.value

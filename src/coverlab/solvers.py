@@ -8,7 +8,9 @@ found together with ``optimal=False`` and a valid lower bound.
 from __future__ import annotations
 
 import time
+from copy import copy
 from dataclasses import dataclass
+from itertools import chain, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import Disconnected
@@ -195,10 +197,10 @@ def _maximal_stars(g: Graph) -> set[int]:
 
 
 def _paths_at(g: Graph, within: int, v: int,
-              ring: Optional[Sequence[Sequence[int]]]) -> tuple[list[int], list[int]]:
-    """The induced paths inside `within` that contain v, each once, and
-    those of them that extend at neither end in g.  Given g's distance
-    rings, only the isometric paths.
+              ring: Optional[Sequence[Sequence[int]]], maximal: bool) -> list[int]:
+    """The induced paths inside `within` that contain v, each once, or
+    with `maximal` only those that extend at neither end in g.  Given g's
+    distance rings, only the isometric paths.
 
     A path through v is a left arm from v, then a right arm from v.  The
     left arm grows first; the right arm starts only once the left one
@@ -212,26 +214,25 @@ def _paths_at(g: Graph, within: int, v: int,
     is maximal when it grows at neither end in g.
     """
     adj = g.adj
-    paths, maximal = [1 << v], ([] if adj[v] else [1 << v])
+    out = [] if maximal and adj[v] else [1 << v]
     stack = [(w, v, 1 << v | 1 << w, 0, w) for w in bits(adj[v] & within)]
     while stack:
         l, r, mask, inner, a = stack.pop()
-        paths.append(mask)
         if ring is None:
             free = ~mask & ~inner
             grow_l, grow_r = adj[l] & free & ~adj[r], adj[r] & free & ~adj[l]
         else:
             k = mask.bit_count()
             grow_l, grow_r = adj[l] & ring[r][k], adj[r] & ring[l][k]
-        if not grow_l and not grow_r:
-            maximal.append(mask)
+        if not (maximal and (grow_l or grow_r)):
+            out.append(mask)
         if r == v:  # no right arm yet: grow the left one, or start one above a
             for w in bits(grow_l & within):
                 stack.append((w, r, mask | 1 << w, inner | adj[l], a))
             grow_r &= ~((2 << a) - 1)
         for w in bits(grow_r & within):
             stack.append((l, w, mask | 1 << w, inner | adj[r], a))
-    return paths, maximal
+    return out
 
 
 def _longest_path(g: Graph) -> int:
@@ -243,7 +244,7 @@ def _longest_path(g: Graph) -> int:
     for v in range(g.order):
         if best >= g.order - v:
             break
-        maximal = _paths_at(g, full >> v << v, v, None)[1]
+        maximal = _paths_at(g, full >> v << v, v, None, True)
         best = max([best, *map(int.bit_count, maximal)])
     return best
 
@@ -263,7 +264,7 @@ def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
         # each path is walked once: from its least vertex v, inside V>=v
         ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
         cand = [m for v in range(g.order)
-                for m in _paths_at(g, g.full_mask >> v << v, v, ring)[1]]
+                for m in _paths_at(g, g.full_mask >> v << v, v, ring, True)]
     if kind is PieceKind.SP_ANY:
         # K_1, K_2 and P_3 are of both shapes: keep them if maximal as each
         stars, paths = _maximal_stars(g), set(cand)
@@ -304,7 +305,7 @@ def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
         cand = _star_masks_at(g, within, v, size)
     if kind is not PieceKind.STAR:
         ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
-        cand.update(m for m in _paths_at(g, within, v, ring)[0]
+        cand.update(m for m in _paths_at(g, within, v, ring, False)
                     if size is None or m.bit_count() == size)
     return sorted(cand, key=lambda m: (-m.bit_count(), m))
 
@@ -407,8 +408,8 @@ def _partition_branch(g: Graph,
     largest star, the longest induced path or one more than the largest
     component diameter; and its branch on the least vertex v of u, whose
     pieces inside u are those of `pieces_at(g, V>=v, v, kind)` inside u.
-    All nodes share v's list, which `_piece_classes` fills one class at
-    a time, only as far as a node reads it."""
+    All nodes share v's pieces, which `_piece_classes` lists one class at
+    a time, only as far as a node reads them."""
     longest_path = 0
     if kind is PieceKind.ISOMETRIC_PATH:
         # rings[v] holds ecc(v) + 2 rings, the last one empty; a longest
@@ -423,34 +424,17 @@ def _partition_branch(g: Graph,
             # from the paths, so it walks them from there
             path = _longest_path(g)
             max_size, longest_path = max(max_size, path), max(path, 3)
-    # v -> [the pieces listed so far, in (-size, mask) order; the generator
-    # of the classes of the rest, or None once none are left]
-    at: dict[int, list] = {}
+    # v -> a tee of v's pieces that is never advanced: each node reads a
+    # copy of it from the start, and the first copy to read past the pieces
+    # listed so far makes `_piece_classes` list the next class
+    at: dict[int, Iterator[int]] = {}
 
-    def branch(u: int) -> Iterable[int]:
+    def branch(u: int) -> Iterator[int]:
         v = (u & -u).bit_length() - 1
-        entry = at.get(v)
-        if entry is None:
-            entry = at[v] = [[], _piece_classes(g, g.full_mask >> v << v, v, kind,
-                                                max_size, longest_path)]
-        if entry[1] is None:
-            return (m for m in entry[0] if m & u == m)
-        return read(entry, u)
-
-    def read(entry: list, u: int) -> Iterator[int]:
-        listed, n = entry[0], 0
-        while True:
-            if n == len(listed):
-                cls = None if entry[1] is None else next(entry[1], None)
-                if cls is None:
-                    entry[1] = None
-                    return
-                listed += cls
-            chunk = listed[n:]
-            n += len(chunk)
-            for m in chunk:
-                if m & u == m:
-                    yield m
+        if v not in at:
+            at[v] = tee(chain.from_iterable(_piece_classes(
+                g, g.full_mask >> v << v, v, kind, max_size, longest_path)))[0]
+        return (m for m in copy(at[v]) if m & u == m)
     return max_size, branch
 
 
@@ -568,39 +552,33 @@ def chromatic_coloring(g: Graph) -> list[int]:
     lo = clique_number(g)
 
     def colorable(k: int) -> Optional[list[int]]:
-        # depth-first over `order` on an explicit stack: position i keeps
-        # the colors its neighbors use, the highest color used before it
-        # and the next color to try, 0 when i is entered afresh
-        colors = [-1] * g.order
-        used: list[Optional[set[int]]] = [None] * len(order)
-        used_max = [-1] * (len(order) + 1)
-        next_c = [0] * len(order)
+        # depth-first over `order` on an explicit stack: cls[c] is the mask
+        # of color c, tried[i] the next color position i tries, 0 when i is
+        # entered afresh, and used[i] the highest color used before i
+        cls = [0] * k
+        tried = [0] * len(order)
+        used = [-1] * (len(order) + 1)
         i = 0
         while i < len(order):
             v = order[i]
-            if next_c[i] == 0:
-                used[i] = {colors[w] for w in bits(g.adj[v]) if colors[w] >= 0}
-            # nothing above used_max + 1 is tried: fresh colors are
+            # nothing above used[i] + 1 is tried: fresh colors are
             # interchangeable, so the first fresh one is the last tried
-            limit = min(k, used_max[i] + 2)
-            c = next_c[i]
-            while c < limit and c in used[i]:
+            limit = min(k, used[i] + 2)
+            c = tried[i]
+            while c < limit and cls[c] & g.adj[v]:
                 c += 1
             if c < limit:
-                colors[v] = c
-                next_c[i] = c + 1
-                used_max[i + 1] = max(used_max[i], c)
+                cls[c] |= 1 << v
+                tried[i] = c + 1
+                used[i + 1] = max(used[i], c)
                 i += 1
             else:
-                colors[v] = -1
-                next_c[i] = 0
+                tried[i] = 0
                 i -= 1
                 if i < 0:
                     return None
-        classes = [0] * k
-        for v, c in enumerate(colors):
-            classes[c] |= 1 << v
-        return [m for m in classes if m]
+                cls[tried[i] - 1] &= ~(1 << order[i])
+        return [m for m in cls if m]
 
     k = lo
     while True:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import coverlab
 from coverlab import bounds, cli, verify
 from coverlab.formats import from_edge_list, from_graph6
+from coverlab.graph import PieceKind
 
 
 def run(capsys, *argv):
@@ -194,6 +195,27 @@ def test_solve_solves_each_named_invariant_once(tmp_path, monkeypatch, capsys):
     assert sorted(json.loads(out)["invariants"]) == ["insp", "inspc"]
 
 
+def test_solve_validates_a_timed_out_certificate(monkeypatch, capsys):
+    # a cover of P_5 that misses three vertices, returned as if timed out
+    def invalid(g, name, config):
+        return cli.solvers.PieceCertificate(PieceKind.PATH, "cover", ((0, 1),),
+                                            False, 1)
+    monkeypatch.setattr(cli.solvers, "invariant_value", invalid)
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 5\n0 1\n1 2\n2 3\n3 4\n"))
+    code, out, err = run(capsys, "solve", "-", "--invariants", "inpc")
+    assert code == 2 and out == ""
+    assert err == "error: inpc: certificate failed validation\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "convert-cover"])
+def test_timeout_zero_is_valid(monkeypatch, capsys, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 5\n0 1\n1 2\n2 3\n3 4\n"))
+    extra = ["--to", "path", "--n", "5"] if command == "convert-cover" else []
+    code, out, err = run(capsys, command, "-", *extra, "--timeout", "0")
+    assert code in (0, 3) and err == ""
+    assert json.loads(out)
+
+
 @pytest.mark.parametrize("table", ['{"3,3": ', '{"3": 6}', '[6]', '{"3,3": 6.5}',
                                    '{"3,0": 6}', '{"3,3": "6"}'])
 @pytest.mark.parametrize("command", ["construct", "bounds"])
@@ -343,6 +365,10 @@ def test_timeout_must_be_finite(tmp_path, capsys, command, timeout):
     (["bounds", "constants", "4", "--c-chi", "-1"], "c_chi >= 0 required, got -1"),
     (["convert-cover", "-", "--to", "path", "--n", "-2"], "n >= 1 required, got -2"),
     (["convert-cover", "-", "--to", "star", "--n", "0"], "n >= 1 required, got 0"),
+    (["solve", "-", "--invariants", "inpc", "--timeout", "-1"],
+     "--timeout must be a finite number >= 0, got -1.0"),
+    (["convert-cover", "-", "--to", "star", "--n", "4", "--timeout", "-0.5"],
+     "--timeout must be a finite number >= 0, got -0.5"),
 ])
 def test_argument_and_parameter_errors_exit_4(monkeypatch, capsys, argv, message):
     # convert-cover reads P_5 from stdin

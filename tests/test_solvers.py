@@ -2,13 +2,13 @@ import importlib
 import math
 import pkgutil
 import random
-from itertools import combinations, count
+from itertools import combinations, count, zip_longest
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coverlab
-from coverlab import cli, generators as gen, graph, naive, solvers
+from coverlab import cli, formats, generators as gen, graph, naive, solvers
 from coverlab.errors import Disconnected, EmptyPiece
 from coverlab.graph import (PieceKind, bits, build_graph, connected_components,
                             is_independent, mask_of, piece_shape_mask)
@@ -213,14 +213,25 @@ def check_maximal_pieces(g):
         assert set(got) == {m for m in shaped
                             if not any(m & o == m and o != m for o in shaped)}, kind
         # a partition branches on pieces_at(V>=v, v): the pieces whose least vertex is v
+        branch = solvers._partition_branch(g, kind)[1]
         for v in range(g.order):
-            assert pieces_at(g, g.full_mask >> v << v, v, kind) == by_size(
-                m for m in shaped if m & -m == 1 << v), (kind, v)
-    # the path walker reaches each path through v once, in one orientation
-    for ring in (None, g.rings):
+            at = pieces_at(g, g.full_mask >> v << v, v, kind)
+            assert at == by_size(m for m in shaped if m & -m == 1 << v), (kind, v)
+            # two nodes at u = V>=v read v's shared pieces in turn, each
+            # from the start, one of them always ahead of the other
+            pairs = list(zip_longest(branch(g.full_mask >> v << v),
+                                     branch(g.full_mask >> v << v)))
+            assert [a for a, _ in pairs] == [b for _, b in pairs] == at, (kind, v)
+    # the path walker reaches each path through v once, in one orientation,
+    # and with `maximal` keeps those that grow at neither end in g
+    for ring, kind in ((None, PieceKind.PATH), (g.rings, PieceKind.ISOMETRIC_PATH)):
         for v in range(g.order):
-            paths = solvers._paths_at(g, g.full_mask, v, ring)[0]
-            assert len(paths) == len(set(paths)), (ring is None, v)
+            paths = solvers._paths_at(g, g.full_mask, v, ring, False)
+            assert len(paths) == len(set(paths)), (kind, v)
+            assert solvers._paths_at(g, g.full_mask, v, ring, True) == [
+                m for m in paths if not any(
+                    piece_shape_mask(g, m | 1 << w, kind)
+                    for w in bits(g.full_mask & ~m))], (kind, v)
 
 
 def broom(handle, bristles):
@@ -368,6 +379,63 @@ def test_chromatic_coloring_is_proper_and_optimal():
 
 def test_chromatic_number_deeper_than_recursion_limit():
     assert chromatic_number(gen.generate("kbar:1100")) == 1
+
+
+def ref_chromatic_coloring(g):
+    """The set-based search that `chromatic_coloring` ran before it kept
+    its color classes as masks: the same positions, color order and
+    symmetry cut, so the same classes."""
+    if g.order == 0:
+        return []
+    order = g.by_degree
+
+    def colorable(k):
+        colors = [-1] * g.order
+        used = [None] * len(order)
+        used_max = [-1] * (len(order) + 1)
+        next_c = [0] * len(order)
+        i = 0
+        while i < len(order):
+            v = order[i]
+            if next_c[i] == 0:
+                used[i] = {colors[w] for w in bits(g.adj[v]) if colors[w] >= 0}
+            limit = min(k, used_max[i] + 2)
+            c = next_c[i]
+            while c < limit and c in used[i]:
+                c += 1
+            if c < limit:
+                colors[v] = c
+                next_c[i] = c + 1
+                used_max[i + 1] = max(used_max[i], c)
+                i += 1
+            else:
+                colors[v] = -1
+                next_c[i] = 0
+                i -= 1
+                if i < 0:
+                    return None
+        classes = [0] * k
+        for v, c in enumerate(colors):
+            classes[c] |= 1 << v
+        return [m for m in classes if m]
+
+    k = clique_number(g)
+    while (got := colorable(k)) is None:
+        k += 1
+    return got
+
+
+def test_chromatic_coloring_matches_set_based_reference():
+    # `construct` prints these classes in its certificates
+    rng = random.Random(23)
+    graphs = [gen.generate(spec) for spec in ("complete:300", "complete:1100",
+                                              "kbar:1100")]
+    for trial in range(200):
+        n, p = rng.randint(1, 14), rng.random()
+        graphs.append(build_graph(n, [(u, v) for u in range(n)
+                                      for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        assert chromatic_coloring(g) == ref_chromatic_coloring(g), formats.to_graph6(g)
 
 
 def test_min_dominating_set():
