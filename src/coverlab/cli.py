@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 a check failed (validation or verification, and
 nothing else), 3 timeout, 4 input error (malformed input, a bad argument or
-an out-of-range parameter), 5 resource failure (the input is too large or
-deep for the solver, which ran out of recursion depth).
+an out-of-range parameter), 5 resource failure (a RecursionError, kept as
+a guard: the solver searches on an explicit stack, one component at a
+time, so K_1,1100 plus 1100 isolated vertices now answers insp = 1101).
 """
 
 from __future__ import annotations

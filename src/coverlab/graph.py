@@ -98,6 +98,17 @@ class Graph:
         one empty ring past the last layer; built once per graph."""
         return tuple(distance_rings(self, v) + (0,) for v in range(self.order))
 
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The masks of the connected components, ordered by least vertex;
+        built once per graph, from `rings` if those are built."""
+        rings, rest, comps = self.__dict__.get("rings"), self.full_mask, []
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            comps.append(sum(distance_rings(self, v) if rings is None else rings[v]))
+            rest &= ~comps[-1]
+        return tuple(comps)
+
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in the given vertex order."""
         idx = {v: i for i, v in enumerate(vertices)}
@@ -149,14 +160,7 @@ def distance_rings(g: Graph, root: int) -> tuple[int, ...]:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Maximal connected vertex sets, each sorted, ordered by minimum."""
-    seen = 0
-    comps = []
-    for v in range(g.order):
-        if not seen >> v & 1:
-            comp = sum(distance_rings(g, v))
-            seen |= comp
-            comps.append(list(bits(comp)))
-    return comps
+    return [list(bits(comp)) for comp in g.components]
 
 
 def is_connected(g: Graph) -> bool:

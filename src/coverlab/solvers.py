@@ -7,8 +7,8 @@ found together with ``optimal=False`` and a valid lower bound.
 
 from __future__ import annotations
 
+import math
 import time
-from copy import copy
 from dataclasses import dataclass
 from itertools import chain, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -47,18 +47,6 @@ class PieceCertificate:
     @property
     def value(self) -> int:
         return len(self.pieces)
-
-
-class _Deadline:
-    def __init__(self, timeout: Optional[float]):
-        self.at = None if timeout is None else time.monotonic() + timeout
-
-    def expired(self) -> bool:
-        return self.at is not None and time.monotonic() > self.at
-
-
-class _TimeUp(Exception):
-    pass
 
 
 # -- piece enumeration -------------------------------------------------
@@ -314,25 +302,26 @@ def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
 
 
 def _search(full: int, max_size: int, branch: Callable[[int], Iterable[int]],
-            deadline: _Deadline) -> tuple[int, Sequence[int], bool]:
+            deadline: float) -> tuple[int, Sequence[int], bool]:
     """The fewest pieces from `branch` whose union is `full`, as (value,
-    pieces, optimal): memoized branch and bound over the set u of
-    vertices left to take.
+    pieces, optimal): memoized branch and bound, depth first on an
+    explicit stack, over the set u of vertices left to take.
 
     `branch(u)` lists the pieces that may take one vertex of u, best
     first, so the vertices of u left after each are never fewer than
     after the one before: the first candidate cut off by the bound
     ceil(|u| / max_size) ends the node, and so does a solution that meets
-    that bound.  `solve(u, limit)` looks only for solutions of u with
-    fewer than `limit` pieces: it returns the optimum of u if that is
+    that bound.  A node u entered under `limit` looks only for solutions
+    of fewer than `limit` pieces: it answers the optimum of u if that is
     below `limit`, and else a lower bound of at least `limit` with no
     pieces.  The memo keeps either kind of answer; a lower bound too low
     for a later limit only raises that node's floor.  The root's limit is
-    the size of the incumbent, and each child's is one less than the best
-    its node has found.  The incumbent follows the first candidate at
-    each node.  On timeout the result is the better of it and the best
-    solution the root has completed, with the bound ceil(|full| /
-    max_size).
+    the size of the incumbent, which follows the first candidate at each
+    node, and each child's is one less than the best its node has found.
+    Each open ancestor on the stack is (u, floor, best, pieces,
+    candidates, the piece its open child took).  On timeout the result is
+    the root's best pieces, else the incumbent, with the bound
+    ceil(|full| / max_size).
     """
     incumbent, u = [], full
     while u:
@@ -341,48 +330,40 @@ def _search(full: int, max_size: int, branch: Callable[[int], Iterable[int]],
         u &= ~m
     # u -> (optimum, pieces), or (lower bound, None)
     memo: dict[int, tuple[int, Optional[tuple[int, ...]]]] = {}
-
-    def solve(u: int, limit: int) -> tuple[int, Optional[tuple[int, ...]]]:
-        nonlocal incumbent
-        if not u:
-            return 0, ()
-        floor = -(-u.bit_count() // max_size)
-        hit = memo.get(u)
-        if hit is not None:
-            if hit[1] is not None or hit[0] >= limit:
-                return hit
-            floor = max(floor, hit[0])
-        if floor >= limit:
-            return floor, None
-        if deadline.expired():
-            raise _TimeUp()
-        best, seq_best = limit, None
-        for m in branch(u):
-            rest = u & ~m
-            if 1 + -(-rest.bit_count() // max_size) >= best:
-                break
-            val, seq = solve(rest, best - 1)
+    stack: list[tuple] = []
+    u, limit = full, len(incumbent)
+    while True:
+        # enter u: the memo, then the bound, may answer at once.  A bound
+        # in the memo was a limit above the floor, so it is the new floor
+        answer = memo.get(u) if u else (0, ())
+        if answer is None or answer[1] is None and answer[0] < limit:
+            floor = answer[0] if answer else -(-u.bit_count() // max_size)
+            answer = (floor, None) if floor >= limit else None
+        if answer is None:
+            if time.monotonic() > deadline:
+                masks = stack and stack[0][3] or incumbent
+                return -(-full.bit_count() // max_size), masks, False
+            best, pieces, candidates = limit, None, iter(branch(u))
+        # the answer goes up until some node enters its next child
+        while True:
+            if answer is None:
+                m = next(candidates, 0)
+                rest = u & ~m
+                if m and 1 + -(-rest.bit_count() // max_size) < best:
+                    stack.append((u, floor, best, pieces, candidates, m))
+                    u, limit = rest, best - 1
+                    break
+                memo[u] = answer = best, pieces
+            val, seq = answer
+            if not stack:  # the root's answer; with no pieces, none beats the incumbent
+                return (val, seq, True) if seq else (len(incumbent), incumbent, True)
+            u, floor, best, pieces, candidates, m = stack.pop()
+            answer = None
             # an exact answer from the memo may lie above the child's limit
             if seq is not None and 1 + val < best:
-                best, seq_best = 1 + val, (m,) + seq
-                if u == full:
-                    incumbent = seq_best
+                best, pieces = 1 + val, (m,) + seq
                 if best == floor:
-                    break
-        memo[u] = best, seq_best
-        return best, seq_best
-
-    try:
-        val, masks = solve(full, len(incumbent))
-        if masks is None:  # nothing beats the incumbent
-            val, masks = len(incumbent), incumbent
-        optimal = True
-    except _TimeUp:
-        val, masks, optimal = -(-full.bit_count() // max_size), incumbent, False
-    # solve refers to itself; break the cycle so that the memo and the
-    # piece lists are freed now, not at the next full garbage collection
-    del solve
-    return val, masks, optimal
+                    memo[u] = answer = best, pieces
 
 
 def _cover_branch(order: int, pieces: Sequence[int]) -> Callable[[int], list[int]]:
@@ -425,7 +406,8 @@ def _partition_branch(g: Graph,
             path = _longest_path(g)
             max_size, longest_path = max(max_size, path), max(path, 3)
     # v -> a tee of v's pieces that is never advanced: each node reads a
-    # copy of it from the start, and the first copy to read past the pieces
+    # copy of it from the start (its own `__copy__` takes a sixth of the
+    # time of `copy.copy`), and the first copy to read past the pieces
     # listed so far makes `_piece_classes` list the next class
     at: dict[int, Iterator[int]] = {}
 
@@ -434,7 +416,7 @@ def _partition_branch(g: Graph,
         if v not in at:
             at[v] = tee(chain.from_iterable(_piece_classes(
                 g, g.full_mask >> v << v, v, kind, max_size, longest_path)))[0]
-        return (m for m in copy(at[v]) if m & u == m)
+        return (m for m in at[v].__copy__() if m & u == m)
     return max_size, branch
 
 
@@ -478,19 +460,27 @@ def _piece_classes(g: Graph, within: int, v: int, kind: PieceKind,
 def _solve(g: Graph, kind: PieceKind, mode: str,
            config: SolveConfig) -> PieceCertificate:
     """A least cover (over the maximal pieces) or partition of V(G) by
-    pieces of `kind`: `_search` over its mode's branch, with a deadline
-    that starts before any piece is listed or the largest size found."""
+    pieces of `kind`, with a deadline that starts before any piece is
+    listed or the largest size found.  Pieces are connected, so `_search`
+    runs on each component with the whole graph's branch, and the values
+    and lower bounds add up."""
+    if not isinstance(kind, PieceKind):
+        raise ValueError(f"unknown kind {kind!r}")
     if g.order == 0:
         return PieceCertificate(kind, mode, (), True, 0)
-    deadline = _Deadline(config.timeout)
+    deadline = math.inf if config.timeout is None else time.monotonic() + config.timeout
     if mode == "cover":
         pieces = enumerate_maximal_pieces(g, kind)
         max_size, branch = pieces[0].bit_count(), _cover_branch(g.order, pieces)
     else:
         max_size, branch = _partition_branch(g, kind)
-    val, masks, optimal = _search(g.full_mask, max_size, branch, deadline)
+    bound, masks, optimal = 0, [], True
+    for comp in g.components:
+        val, found, exact = _search(comp, max_size, branch, deadline)
+        bound, optimal = bound + val, optimal and exact
+        masks.extend(found)
     return PieceCertificate(kind, mode, tuple(tuple(bits(m)) for m in masks),
-                            optimal, val)
+                            optimal, bound)
 
 
 def min_cover(g: Graph, kind: PieceKind,
@@ -604,5 +594,5 @@ def min_dominating_set(g: Graph) -> list[int]:
         owner.setdefault(g.adj[v] | 1 << v, v)
     pieces = sorted(owner, key=lambda m: (-m.bit_count(), m))
     masks = _search(g.full_mask, pieces[0].bit_count(),
-                    _cover_branch(g.order, pieces), _Deadline(None))[1]
+                    _cover_branch(g.order, pieces), math.inf)[1]
     return sorted(owner[m] for m in masks)

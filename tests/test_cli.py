@@ -259,22 +259,34 @@ def test_verify_count_below_one(capsys, count):
     assert "--count must be at least 1" in err
 
 
-def test_solve_too_deep_exits_5(tmp_path, capsys):
+def test_solve_too_deep_exits_5(tmp_path, monkeypatch, capsys):
     # 1100 singletons: the bound 1100 meets the first solution, so the
-    # search proves it optimal without recursing
+    # search proves it optimal at the root
     path = tmp_path / "kbar.txt"
     run(capsys, "gen", "kbar:1100", "--out", str(path))
     code, out, _ = run(capsys, "solve", str(path), "--invariants", "inspc")
     assert code == 0
     report = json.loads(out)["invariants"]["inspc"]
     assert (report["value"], report["optimal"]) == (1100, True)
-    # K_1,1100 and 1100 isolated vertices: the bound is 2, and the search
-    # recurses once per singleton after taking the star
+    # K_1,1100 and 1100 isolated vertices: each component is searched on
+    # its own, and the search keeps its open nodes on a list, so it answers
     path = tmp_path / "star_and_kbar.txt"
     path.write_text("p 2201\n" + "".join(f"0 {i}\n" for i in range(1, 1101)))
+    code, out, _ = run(capsys, "solve", str(path), "--invariants", "insp")
+    assert code == 0
+    report = json.loads(out)["invariants"]["insp"]
+    assert (report["value"], report["optimal"]) == (1101, True)
+
+    # a solver that still runs out of recursion depth exits 5, with one
+    # error line and no traceback
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli.solvers, "invariant_value", too_deep)
     code, out, err = run(capsys, "solve", str(path), "--invariants", "insp")
     assert code == 5 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_solve_large_star_partition_from_stdin(monkeypatch, capsys):

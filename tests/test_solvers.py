@@ -613,3 +613,54 @@ def test_budgeted_search_matches_naive(g):
         assert cert.optimal and cert.value == oracle(
             g, naive.all_piece_masks(g, kind)), name
         assert validate_certificate(g, cert), name
+
+
+# under no time at all, each component answers its first solution with
+# the bound ceil(|component| / largest piece size), and the answers add up
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_order=7))
+def test_timeout_answers_bracket_the_optimum(g):
+    for name, (kind, mode) in INVARIANT_SPECS.items():
+        cert = invariant_value(g, name, SolveConfig(timeout=0))
+        oracle = (naive.naive_min_cover if mode == "cover"
+                  else naive.naive_min_partition)
+        best = oracle(g, naive.all_piece_masks(g, kind))
+        assert validate_certificate(g, cert), name
+        assert cert.lower_bound <= best <= cert.value, name
+        assert not cert.optimal or cert.lower_bound == best == cert.value, name
+
+
+STAR_AND_ISOLATED = build_graph(2201, [(0, i) for i in range(1, 1101)])
+
+
+# each of these graphs once ran out of recursion depth: the search took
+# one level per piece
+@pytest.mark.parametrize("name", ["insp", "inspp"])
+def test_star_and_isolated_vertices_partition(name):
+    cert = invariant_value(STAR_AND_ISOLATED, name)
+    assert (cert.value, cert.optimal) == (1101, True)
+    assert validate_certificate(STAR_AND_ISOLATED, cert)
+
+
+def test_caterpillar_star_cover():
+    # a path of 1100 vertices with leaf 1100 + i on vertex i: no star
+    # holds two of the leaves, since no vertex sees both
+    g = build_graph(2200, [(i, i + 1) for i in range(1099)]
+                    + [(i, 1100 + i) for i in range(1100)])
+    cert = invariant_value(g, "insc")
+    assert (cert.value, cert.optimal) == (1100, True)
+    assert validate_certificate(g, cert)
+
+
+def test_large_spider_partition_times_out_with_a_certificate():
+    g = gen.generate("sstar:1100")
+    cert = invariant_value(g, "insp", SolveConfig(timeout=1))
+    assert validate_certificate(g, cert)
+    assert cert.lower_bound <= cert.value
+
+
+@pytest.mark.parametrize("solve", [min_cover, min_partition])
+@pytest.mark.parametrize("order", [0, 5])
+def test_unknown_kind_is_rejected(solve, order):
+    with pytest.raises(ValueError, match="unknown kind 'star'"):
+        solve(gen.path(order) if order else build_graph(0, []), "star")
