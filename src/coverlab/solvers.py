@@ -148,14 +148,17 @@ def _maximal_independent_sets(g: Graph, within: int) -> list[int]:
     The branch on the i-th candidate v drops the candidates before it
     from p and moves them to x, which does not depend on what the
     branches before it found, so all of a node's branches are pushed at
-    once.
+    once.  When p has no edge inside it, r | p is the one set left to
+    find, and it is maximal unless some vertex of x sees none of p; so an
+    independent neighbourhood of k vertices costs O(k), not k pivots.
     """
     adj, out = g.adj, []
     stack = [(0, within, 0)]
     while stack:
         r, p, x = stack.pop()
-        if not p and not x:
-            out.append(r)
+        if not any(adj[w] & p for w in bits(p)):
+            if all(adj[w] & p for w in bits(x)):
+                out.append(r | p)
             continue
         # a set avoiding the pivot u and its neighbours could still take u
         u = min(bits(p | x), key=lambda w: (p & (adj[w] | 1 << w)).bit_count())
@@ -204,22 +207,30 @@ def _paths_at(g: Graph, within: int, v: int,
     adj = g.adj
     out = [] if maximal and adj[v] else [1 << v]
     stack = [(w, v, 1 << v | 1 << w, 0, w) for w in bits(adj[v] & within)]
+    # extension masks are walked lowest bit first, inline, so that no
+    # `bits` generator is built per popped path
     while stack:
         l, r, mask, inner, a = stack.pop()
         if ring is None:
-            free = ~mask & ~inner
-            grow_l, grow_r = adj[l] & free & ~adj[r], adj[r] & free & ~adj[l]
+            seen = mask | inner
+            grow_l, grow_r = adj[l] & ~(seen | adj[r]), adj[r] & ~(seen | adj[l])
         else:
             k = mask.bit_count()
             grow_l, grow_r = adj[l] & ring[r][k], adj[r] & ring[l][k]
         if not (maximal and (grow_l or grow_r)):
             out.append(mask)
         if r == v:  # no right arm yet: grow the left one, or start one above a
-            for w in bits(grow_l & within):
-                stack.append((w, r, mask | 1 << w, inner | adj[l], a))
+            ext, grown = grow_l & within, inner | adj[l]
+            while ext:
+                low = ext & -ext
+                stack.append((low.bit_length() - 1, r, mask | low, grown, a))
+                ext ^= low
             grow_r &= ~((2 << a) - 1)
-        for w in bits(grow_r & within):
-            stack.append((l, w, mask | 1 << w, inner | adj[r], a))
+        ext, grown = grow_r & within, inner | adj[r]
+        while ext:
+            low = ext & -ext
+            stack.append((l, low.bit_length() - 1, mask | low, grown, a))
+            ext ^= low
     return out
 
 
@@ -258,7 +269,13 @@ def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
         stars, paths = _maximal_stars(g), set(cand)
         cand = [m for m in stars | paths
                 if m.bit_count() > 3 or (m in stars and m in paths)]
-    return sorted(cand, key=lambda m: (-m.bit_count(), m))
+    return _largest_first(cand)
+
+
+def _largest_first(masks: Iterable[int]) -> list[int]:
+    """`masks` sorted by (-size, mask), with C-level keys: the sort by
+    size is stable, also in reverse, so it keeps the mask order."""
+    return sorted(sorted(masks), key=int.bit_count, reverse=True)
 
 
 def _star_masks_at(g: Graph, within: int, v: int,
@@ -295,26 +312,29 @@ def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
         ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
         cand.update(m for m in _paths_at(g, within, v, ring, False)
                     if size is None or m.bit_count() == size)
-    return sorted(cand, key=lambda m: (-m.bit_count(), m))
+    return _largest_first(cand)
 
 
 # -- exact solvers -----------------------------------------------------
 
 
-def _search(full: int, max_size: int, branch: Callable[[int], Iterable[int]],
+def _search(full: int, max_size: int, branch: Callable[[int, bool], Iterable[int]],
             deadline: float) -> tuple[int, Sequence[int], bool]:
     """The fewest pieces from `branch` whose union is `full`, as (value,
     pieces, optimal): memoized branch and bound, depth first on an
     explicit stack, over the set u of vertices left to take.
 
-    `branch(u)` lists the pieces that may take one vertex of u, best
-    first, so the vertices of u left after each are never fewer than
-    after the one before: the first candidate cut off by the bound
+    `branch(u, whole)` lists the pieces that may take one vertex of u,
+    best first, so the vertices of u left after each are never fewer
+    than after the one before: the first candidate cut off by the bound
     ceil(|u| / max_size) ends the node, and so does a solution that meets
     that bound.  A node u entered under `limit` looks only for solutions
     of fewer than `limit` pieces: it answers the optimum of u if that is
     below `limit`, and else a lower bound of at least `limit` with no
-    pieces.  The memo keeps either kind of answer; a lower bound too low
+    pieces.  At a limit of 2 only a piece that holds all of u can be
+    entered, and only the first one is: `whole` says so, and the branch
+    may then list just the first piece it would list that holds u, or
+    none.  The memo keeps either kind of answer; a lower bound too low
     for a later limit only raises that node's floor.  The root's limit is
     the size of the incumbent, which follows the first candidate at each
     node, and each child's is one less than the best its node has found.
@@ -325,7 +345,7 @@ def _search(full: int, max_size: int, branch: Callable[[int], Iterable[int]],
     """
     incumbent, u = [], full
     while u:
-        m = next(iter(branch(u)))
+        m = next(iter(branch(u, False)))
         incumbent.append(m)
         u &= ~m
     # u -> (optimum, pieces), or (lower bound, None)
@@ -343,7 +363,7 @@ def _search(full: int, max_size: int, branch: Callable[[int], Iterable[int]],
             if time.monotonic() > deadline:
                 masks = stack and stack[0][3] or incumbent
                 return -(-full.bit_count() // max_size), masks, False
-            best, pieces, candidates = limit, None, iter(branch(u))
+            best, pieces, candidates = limit, None, iter(branch(u, limit == 2))
         # the answer goes up until some node enters its next child
         while True:
             if answer is None:
@@ -366,25 +386,43 @@ def _search(full: int, max_size: int, branch: Callable[[int], Iterable[int]],
                     memo[u] = answer = best, pieces
 
 
-def _cover_branch(order: int, pieces: Sequence[int]) -> Callable[[int], list[int]]:
-    """A cover's branch over `pieces`, sorted by (-size, mask): the vertex
-    of u in the fewest pieces, ties by label, and its pieces, most
-    vertices of u first."""
-    # each list keeps the (-size, mask) order of `pieces`
+def _cover_branch(order: int, pieces: Sequence[int],
+                  comps: Sequence[int]) -> Callable[[int, bool], list[int]]:
+    """A cover's branch over `pieces`, sorted by (-size, mask), for a u
+    inside one of the components `comps`: the vertex of u in the fewest
+    pieces, ties by label, and its pieces, most vertices of u first; or,
+    when only one piece could do, the first of them that holds all of u,
+    if any, which is where the sort would put it."""
+    # each list keeps the (-size, mask) order of `pieces`; a piece's bits
+    # are walked inline, so the build is linear in the total piece size
     by_vertex: list[list[int]] = [[] for _ in range(order)]
     for m in pieces:
-        for v in bits(m):
-            by_vertex[v].append(m)
-    fewest = sorted(range(order), key=lambda w: len(by_vertex[w]))
+        rest = m
+        while rest:
+            low = rest & -rest
+            by_vertex[low.bit_length() - 1].append(m)
+            rest ^= low
+    # fewest[w]: the vertices of w's component by count, ties by label,
+    # so a node scans only its own component's
+    fewest: list[list[int]] = [[]] * order
+    for comp in comps:
+        ranked = sorted(bits(comp), key=lambda w: len(by_vertex[w]))
+        for w in ranked:
+            fewest[w] = ranked
 
-    def branch(u: int) -> list[int]:
-        v = next(w for w in fewest if u >> w & 1)
+    def branch(u: int, whole: bool) -> list[int]:
+        v = next(w for w in fewest[(u & -u).bit_length() - 1] if u >> w & 1)
+        if whole:
+            for m in by_vertex[v]:
+                if m & u == u:
+                    return [m]
+            return []
         return sorted(by_vertex[v], key=lambda x: -(x & u).bit_count())
     return branch
 
 
-def _partition_branch(g: Graph,
-                      kind: PieceKind) -> tuple[int, Callable[[int], Iterable[int]]]:
+def _partition_branch(
+        g: Graph, kind: PieceKind) -> tuple[int, Callable[[int, bool], Iterable[int]]]:
     """A partition's largest piece size, with no maximal pieces: the
     largest star, the longest induced path or one more than the largest
     component diameter; and its branch on the least vertex v of u, whose
@@ -411,7 +449,8 @@ def _partition_branch(g: Graph,
     # listed so far makes `_piece_classes` list the next class
     at: dict[int, Iterator[int]] = {}
 
-    def branch(u: int) -> Iterator[int]:
+    def branch(u: int, whole: bool) -> Iterator[int]:
+        # largest first already: a node that wants one piece reads one
         v = (u & -u).bit_length() - 1
         if v not in at:
             at[v] = tee(chain.from_iterable(_piece_classes(
@@ -471,7 +510,8 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     deadline = math.inf if config.timeout is None else time.monotonic() + config.timeout
     if mode == "cover":
         pieces = enumerate_maximal_pieces(g, kind)
-        max_size, branch = pieces[0].bit_count(), _cover_branch(g.order, pieces)
+        max_size = pieces[0].bit_count()
+        branch = _cover_branch(g.order, pieces, g.components)
     else:
         max_size, branch = _partition_branch(g, kind)
     bound, masks, optimal = 0, [], True
@@ -592,7 +632,7 @@ def min_dominating_set(g: Graph) -> list[int]:
     owner: dict[int, int] = {}
     for v in range(g.order):
         owner.setdefault(g.adj[v] | 1 << v, v)
-    pieces = sorted(owner, key=lambda m: (-m.bit_count(), m))
+    pieces = _largest_first(owner)
     masks = _search(g.full_mask, pieces[0].bit_count(),
-                    _cover_branch(g.order, pieces), math.inf)[1]
+                    _cover_branch(g.order, pieces, (g.full_mask,)), math.inf)[1]
     return sorted(owner[m] for m in masks)

@@ -219,8 +219,8 @@ def check_maximal_pieces(g):
             assert at == by_size(m for m in shaped if m & -m == 1 << v), (kind, v)
             # two nodes at u = V>=v read v's shared pieces in turn, each
             # from the start, one of them always ahead of the other
-            pairs = list(zip_longest(branch(g.full_mask >> v << v),
-                                     branch(g.full_mask >> v << v)))
+            pairs = list(zip_longest(branch(g.full_mask >> v << v, False),
+                                     branch(g.full_mask >> v << v, False)))
             assert [a for a, _ in pairs] == [b for _, b in pairs] == at, (kind, v)
     # the path walker reaches each path through v once, in one orientation,
     # and with `maximal` keeps those that grow at neither end in g
@@ -500,6 +500,42 @@ def test_independent_subsets_match_brute_force(g, data):
             m for m in brute if m.bit_count() == k], k
 
 
+@st.composite
+def triangle_free_graphs(draw, max_order=10):
+    """A path, a cycle of at least four vertices, a tree or a bipartite
+    graph with drawn edges between its two drawn sides."""
+    n = draw(st.integers(1, max_order))
+    shape = draw(st.sampled_from(["path", "cycle", "tree", "bipartite"]))
+    if shape == "path":
+        return gen.path(n)
+    if shape == "cycle":
+        return gen.cycle(max(n, 4))
+    if shape == "tree":
+        return build_graph(n, [(draw(st.integers(0, v - 1)), v) for v in range(1, n)])
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    across = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(across), max_size=len(across)))
+    return build_graph(n, [e for e, k in zip(across, keep) if k])
+
+
+def brute_maximal_independent_sets(g, within):
+    sets = [m for m in range(1 << g.order) if m & within == m and is_independent(g, m)]
+    return [m for m in sets if all(g.adj[v] & m for v in bits(within & ~m))]
+
+
+# each neighbourhood of a triangle-free graph is independent, and its
+# one maximal set is found at the root.  The example reaches the node
+# r = {4}, p = {5}, x = {3}: p is independent, but 3 sees none of it, so
+# {4, 5} is not maximal ({3, 4, 5} is) and the node lists nothing
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(triangle_free_graphs(), st.integers(0, (1 << 10) - 1))
+@example(build_graph(6, [(0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5)]), 0)
+def test_maximal_independent_sets_match_brute_force_triangle_free(g, drawn):
+    for within in (g.full_mask, drawn & g.full_mask, *g.adj):
+        got = solvers._maximal_independent_sets(g, within)
+        assert sorted(got) == brute_maximal_independent_sets(g, within), within
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(small_graphs(), st.data())
 def test_pieces_at_size_is_a_slice(g, data):
@@ -615,6 +651,19 @@ def test_budgeted_search_matches_naive(g):
         assert validate_certificate(g, cert), name
 
 
+# a node under a limit of 2 takes only the first candidate, and only if it
+# holds all of u: the one-piece branch lists just that one, with no sort
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_order=9))
+def test_one_piece_branch_is_the_first_candidate_that_holds_u(g):
+    for kind in PieceKind:
+        branch = solvers._cover_branch(g.order, enumerate_maximal_pieces(g, kind),
+                                       g.components)
+        for u in range(1, g.full_mask + 1):
+            holding = [m for m in branch(u, False) if m & u == u]
+            assert branch(u, True) == holding[:1], (kind, u)
+
+
 # under no time at all, each component answers its first solution with
 # the bound ceil(|component| / largest piece size), and the answers add up
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -638,6 +687,12 @@ STAR_AND_ISOLATED = build_graph(2201, [(0, i) for i in range(1, 1101)])
 @pytest.mark.parametrize("name", ["insp", "inspp"])
 def test_star_and_isolated_vertices_partition(name):
     cert = invariant_value(STAR_AND_ISOLATED, name)
+    assert (cert.value, cert.optimal) == (1101, True)
+    assert validate_certificate(STAR_AND_ISOLATED, cert)
+
+
+def test_star_and_isolated_vertices_cover():
+    cert = invariant_value(STAR_AND_ISOLATED, "insc")
     assert (cert.value, cert.optimal) == (1101, True)
     assert validate_certificate(STAR_AND_ISOLATED, cert)
 
