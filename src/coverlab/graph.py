@@ -217,6 +217,14 @@ def _path_order(g: Graph, mask: int) -> Optional[list[int]]:
         seen |= near
 
 
+def _is_isometric(g: Graph, order: list[int]) -> bool:
+    """Is the induced path with vertices `order` isometric?  The ends of
+    an isometric path of k + 1 vertices lie k apart; a longer induced
+    path may reach past its end's last ring."""
+    ring, k = g.rings[order[0]], len(order) - 1
+    return k < len(ring) and bool(ring[k] >> order[-1] & 1)
+
+
 def piece_shape_mask(g: Graph, mask: int, kind: PieceKind) -> bool:
     """Does g[mask] belong to the kind's family of stars/paths?"""
     if mask == 0:
@@ -228,13 +236,8 @@ def piece_shape_mask(g: Graph, mask: int, kind: PieceKind) -> bool:
     if kind is PieceKind.PATH:
         return _path_order(g, mask) is not None
     if kind is PieceKind.ISOMETRIC_PATH:
-        # the ends of an isometric path of k + 1 vertices lie k apart; a
-        # longer induced path may reach past its end's last ring
         order = _path_order(g, mask)
-        if order is None:
-            return False
-        ring, k = g.rings[order[0]], len(order) - 1
-        return k < len(ring) and bool(ring[k] >> order[-1] & 1)
+        return order is not None and _is_isometric(g, order)
     if kind is PieceKind.SP_ANY:
         return _star_center(g, mask) is not None or _path_order(g, mask) is not None
     raise ValueError(f"unknown kind {kind!r}")

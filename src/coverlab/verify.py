@@ -85,8 +85,9 @@ def chains_hold(g: Graph) -> bool:
 
 def oracle_agrees(g: Graph) -> bool:
     """The exact solvers match the brute-force oracles on every piece kind."""
+    pieces = naive.all_piece_masks(g)  # one scan, read by both brute-force searches
     for kind in PieceKind:
-        masks = naive.all_piece_masks(g, kind)  # shared by both brute-force searches
+        masks = pieces[kind]
         if (solvers.min_cover(g, kind).value != naive.naive_min_cover(g, masks)
                 or (solvers.min_partition(g, kind).value
                     != naive.naive_min_partition(g, masks))):

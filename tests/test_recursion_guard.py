@@ -12,7 +12,6 @@ BOUNDED_RECURSIONS = {
     "bounds._has_clique_in": "depth at most the Ramsey search order",
     "bounds._has_independent_in": "depth at most the Ramsey search order",
     "bounds._good_graph_exists.extend": "depth at most the Ramsey search order",
-    "naive._set_partitions": "one level per vertex of an oracle graph of at most 7",
 }
 
 

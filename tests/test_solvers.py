@@ -147,7 +147,7 @@ def test_partitions_enumerate_no_maximal_pieces(monkeypatch):
             cert = invariant_value(g, name)
             assert cert.optimal and validate_certificate(g, cert)
             assert cert.value == naive.naive_min_partition(
-                g, naive.all_piece_masks(g, kind)), name
+                g, naive.all_piece_masks(g)[kind]), name
 
 
 def test_distance_rings_built_once_per_graph(monkeypatch):
@@ -647,7 +647,7 @@ def test_budgeted_search_matches_naive(g):
         oracle = (naive.naive_min_cover if mode == "cover"
                   else naive.naive_min_partition)
         assert cert.optimal and cert.value == oracle(
-            g, naive.all_piece_masks(g, kind)), name
+            g, naive.all_piece_masks(g)[kind]), name
         assert validate_certificate(g, cert), name
 
 
@@ -673,10 +673,65 @@ def test_timeout_answers_bracket_the_optimum(g):
         cert = invariant_value(g, name, SolveConfig(timeout=0))
         oracle = (naive.naive_min_cover if mode == "cover"
                   else naive.naive_min_partition)
-        best = oracle(g, naive.all_piece_masks(g, kind))
+        best = oracle(g, naive.all_piece_masks(g)[kind])
         assert validate_certificate(g, cert), name
         assert cert.lower_bound <= best <= cert.value, name
         assert not cert.optimal or cert.lower_bound == best == cert.value, name
+
+
+def _stirling2(n, k):
+    """Partitions of an n-set into k non-empty blocks."""
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def test_k_block_partitions_are_each_partition_once():
+    assert [sum(_stirling2(n, k) for k in range(n + 1)) for n in range(9)] == [
+        1, 1, 2, 5, 15, 52, 203, 877, 4140]  # Bell numbers
+    for n in range(9):
+        for k in range(n + 2):
+            parts = list(naive._k_block_partitions(n, k))
+            assert len(parts) == _stirling2(n, k), (n, k)
+            assert len({frozenset(p) for p in parts}) == len(parts), (n, k)
+            for part in parts:
+                assert len(part) == k and all(part), (n, k, part)
+                assert sum(part) == (1 << n) - 1, (n, k, part)  # disjoint cover
+            if k > n or (k == 0 and n >= 1):
+                assert parts == [], (n, k)
+
+
+def _whole_bell_min_partition(g, masks):
+    """Reference minimum: the fewest blocks over all Bell(n) set
+    partitions of V whose blocks are all in `masks`, walked recursively."""
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        for part in partitions(items[1:]):
+            for i in range(len(part)):
+                yield part[:i] + [part[i] | 1 << items[0]] + part[i + 1:]
+            yield part + [1 << items[0]]
+
+    pieces = set(masks)
+    return min(len(p) for p in partitions(list(range(g.order)))
+               if all(m in pieces for m in p))
+
+
+# one subset scan lists each kind's pieces as piece_shape_mask does, and
+# growing k finds the same minimum as the walk over all set partitions
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_order=8))
+@example(build_graph(0, []))
+def test_naive_oracle_matches_whole_bell_walk(g):
+    pieces = naive.all_piece_masks(g)
+    assert set(pieces) == set(PieceKind)
+    for kind in PieceKind:
+        assert pieces[kind] == [m for m in range(1, 1 << g.order)
+                                if piece_shape_mask(g, m, kind)], kind
+        assert (naive.naive_min_partition(g, pieces[kind])
+                == _whole_bell_min_partition(g, pieces[kind])), kind
 
 
 STAR_AND_ISOLATED = build_graph(2201, [(0, i) for i in range(1, 1101)])
