@@ -84,8 +84,9 @@ def _load_table() -> dict[tuple[int, int], int]:
 # -- exhaustive search -------------------------------------------------
 
 
-def _has_clique_in(rows: list[int], within: int, size: int) -> bool:
-    """True iff the graph restricted to `within` has a clique of `size`."""
+def _has_clique_in(rows: list[int], within: int, size: int, flip: int = 0) -> bool:
+    """True iff the graph restricted to `within` has a clique of `size`;
+    with `flip=-1` each row is complemented, so an independent set."""
     if size == 0:
         return True
     if within.bit_count() < size:
@@ -95,22 +96,7 @@ def _has_clique_in(rows: list[int], within: int, size: int) -> bool:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        if _has_clique_in(rows, rows[v] & m, size - 1):
-            return True
-    return False
-
-
-def _has_independent_in(rows: list[int], within: int, size: int) -> bool:
-    if size == 0:
-        return True
-    if within.bit_count() < size:
-        return False
-    m = within
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        if _has_independent_in(rows, m & ~rows[v], size - 1):
+        if _has_clique_in(rows, (rows[v] ^ flip) & m, size - 1, flip):
             return True
     return False
 
@@ -128,7 +114,6 @@ def _good_graph_exists(s: int, t: int, order: int) -> Optional[list[int]]:
     canonicity prunes relabellings of the last two vertices.
     """
     rows = [0] * order
-    lower = [0] * order  # row restricted to earlier vertices
 
     def neighbourhoods(k: int) -> list[int]:
         # every K_{s-1}-free subset of 0..k-1, in ascending mask order:
@@ -149,15 +134,15 @@ def _good_graph_exists(s: int, t: int, order: int) -> Optional[list[int]]:
         for mask in neighbourhoods(k):
             if k >= 2:
                 # canonicity: swapping vertices k-1 and k must not
-                # lower the lexicographic lower-row code
+                # lower the lexicographic lower-row code.  Row k-1 holds
+                # only earlier vertices: vertex k is not placed yet
                 bit = mask >> (k - 1) & 1
                 swapped_prev = mask & ~(1 << (k - 1))
-                swapped_last = lower[k - 1] | (bit << (k - 1))
-                if (swapped_prev, swapped_last) < (lower[k - 1], mask):
+                swapped_last = rows[k - 1] | (bit << (k - 1))
+                if (swapped_prev, swapped_last) < (rows[k - 1], mask):
                     continue
-            if _has_independent_in(rows, prev & ~mask, t - 1):
+            if _has_clique_in(rows, prev & ~mask, t - 1, -1):
                 continue
-            lower[k] = mask
             rows[k] = mask
             for v in range(k):
                 if mask >> v & 1:

@@ -126,7 +126,8 @@ def from_edge_list(text: str) -> Graph:
     try:
         return build_graph(order, edges)
     except Exception as exc:
-        raise FormatError(str(exc)) from exc
+        # a MemoryError, say, has no text of its own
+        raise FormatError(str(exc) or type(exc).__name__) from exc
 
 
 def write_graph(g: Graph, fmt: str) -> str:

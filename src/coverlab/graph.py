@@ -101,11 +101,11 @@ class Graph:
     @cached_property
     def components(self) -> tuple[int, ...]:
         """The masks of the connected components, ordered by least vertex;
-        built once per graph, from `rings` if those are built."""
-        rings, rest, comps = self.__dict__.get("rings"), self.full_mask, []
+        built once per graph, from one `distance_rings` BFS per component."""
+        rest, comps = self.full_mask, []
         while rest:
             v = (rest & -rest).bit_length() - 1
-            comps.append(sum(distance_rings(self, v) if rings is None else rings[v]))
+            comps.append(sum(distance_rings(self, v)))
             rest &= ~comps[-1]
         return tuple(comps)
 

@@ -33,6 +33,11 @@ INVARIANT_SPECS = {
 class SolveConfig:
     timeout: Optional[float] = None
 
+    def __post_init__(self):
+        # a NaN deadline would compare false everywhere and never fire
+        if self.timeout is not None and math.isnan(self.timeout):
+            raise ValueError("timeout must not be NaN")
+
 
 @dataclass(frozen=True)
 class PieceCertificate:
@@ -52,29 +57,26 @@ class PieceCertificate:
 # -- piece enumeration -------------------------------------------------
 
 
-def _independent_subsets(g: Graph, within: int,
-                         size: Optional[int] = None) -> list[int]:
-    """The independent subsets of `within`, the empty set included, or
-    only those of `size` vertices.
+def _independent_subsets(g: Graph, within: int, size: int) -> list[int]:
+    """The independent subsets of `within` of `size` vertices.
 
     Each set grows by the vertices above its greatest one that it does
-    not see, on an explicit stack.  With `size`, a full set stops, and a
-    set is not grown by a vertex above which too few are left to fill it.
+    not see, on an explicit stack.  A full set stops, and a set is not
+    grown by a vertex above which too few are left to fill it.
     """
-    if size is not None and size < 0:
+    if size < 0:
         return []
     out = []
     stack = [(0, within)]
     while stack:
         s, cand = stack.pop()
-        if size is None or s.bit_count() == size:
+        need = size - s.bit_count()
+        if not need:
             out.append(s)
-            if size is not None:
-                continue
-        need = 0 if size is None else size - s.bit_count() - 1
+            continue
         for w in bits(cand):
             cand ^= 1 << w
-            if cand.bit_count() < need:
+            if cand.bit_count() < need - 1:
                 break
             stack.append((s | 1 << w, cand & ~g.adj[w]))
     return out
@@ -278,41 +280,39 @@ def _largest_first(masks: Iterable[int]) -> list[int]:
     return sorted(sorted(masks), key=int.bit_count, reverse=True)
 
 
-def _star_masks_at(g: Graph, within: int, v: int,
-                   size: Optional[int] = None) -> set[int]:
-    """Star vertex sets containing v inside `within`, {v} included, or
-    only those of `size` vertices.
+def _star_masks_at(g: Graph, within: int, v: int, size: int) -> list[int]:
+    """The star vertex sets of `size` vertices containing v inside
+    `within`, each once.
 
     v is the centre with independent leaves in its neighbourhood, or a
     leaf of a centre c with further leaves that do not see v.  A star of
-    two vertices has both as centres, so it is listed with v as one.
+    two vertices has both as centres, so it is listed with v as one; a
+    larger star has one centre.
     """
     near = g.adj[v] & within
-    out = {1 << v | leaves for leaves in _independent_subsets(
-        g, near, None if size is None else size - 1)}
-    if size is not None and size <= 2:
+    out = [1 << v | leaves for leaves in _independent_subsets(g, near, size - 1)]
+    if size <= 2:
         return out
     for c in bits(near):
         pool = g.adj[c] & within & ~near & ~(1 << v)
-        out.update(1 << c | 1 << v | rest for rest in _independent_subsets(
-            g, pool, None if size is None else size - 2))
+        out += [1 << c | 1 << v | rest
+                for rest in _independent_subsets(g, pool, size - 2)]
     return out
 
 
 def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
               size: Optional[int] = None) -> list[int]:
-    """The piece vertex sets containing v inside `within`, sorted by
-    (-size, mask); with `size`, only those of `size` vertices."""
-    if not isinstance(kind, PieceKind):
-        raise ValueError(f"unknown kind {kind!r}")
-    cand = set()
-    if kind is PieceKind.STAR or kind is PieceKind.SP_ANY:
-        cand = _star_masks_at(g, within, v, size)
-    if kind is not PieceKind.STAR:
+    """The pieces containing v inside `within`: for `STAR`, those of
+    `size` vertices, sorted by mask; for a path kind, with no `size`,
+    all of them, sorted by (-size, mask).  Any other call raises
+    ValueError."""
+    if kind is PieceKind.STAR and size is not None:
+        return sorted(_star_masks_at(g, within, v, size))
+    if (kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH) and size is None:
         ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
-        cand.update(m for m in _paths_at(g, within, v, ring, False)
-                    if size is None or m.bit_count() == size)
-    return _largest_first(cand)
+        return _largest_first(_paths_at(g, within, v, ring, False))
+    raise ValueError(f"pieces_at lists stars by size and paths unsized, not "
+                     f"{kind!r} with size {size!r}")
 
 
 # -- exact solvers -----------------------------------------------------
@@ -426,7 +426,7 @@ def _partition_branch(
     """A partition's largest piece size, with no maximal pieces: the
     largest star, the longest induced path or one more than the largest
     component diameter; and its branch on the least vertex v of u, whose
-    pieces inside u are those of `pieces_at(g, V>=v, v, kind)` inside u.
+    pieces are those of `kind` through v inside V>=v that lie inside u.
     All nodes share v's pieces, which `_piece_classes` lists one class at
     a time, only as far as a node reads them."""
     longest_path = 0
@@ -550,6 +550,8 @@ def validate_certificate(g: Graph, cert: PieceCertificate) -> bool:
     """Is cert a cover or partition of V(G) by pieces of its kind?  A
     piece of the wrong shape, or with a vertex outside V(G), gives False;
     an empty piece raises EmptyPiece."""
+    if min(chain.from_iterable(cert.pieces), default=0) < 0:
+        return False  # no mask can hold a negative vertex
     return certificate_fault(g, g.full_mask, cert.kind, cert.mode,
                              map(mask_of, cert.pieces)) is None
 

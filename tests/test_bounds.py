@@ -268,7 +268,7 @@ def _ref_good_graph_exists(s, t, order):
     def feasible(k, mask):
         if B._has_clique_in(rows, mask, s - 1):
             return False
-        return not B._has_independent_in(rows, ((1 << k) - 1) & ~mask, t - 1)
+        return not B._has_clique_in(rows, ((1 << k) - 1) & ~mask, t - 1, -1)
 
     def extend(k):
         if k == order:
@@ -312,6 +312,35 @@ def _clique_and_independence_numbers(order):
             for edges in range(1 << len(pairs))}
 
 
+@st.composite
+def rows_and_within(draw, max_order=8):
+    """Adjacency rows of a graph on at most `max_order` vertices, and a
+    vertex subset of it."""
+    n = draw(st.integers(0, max_order))
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if draw(st.booleans()):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows_and_within())
+def test_has_clique_in_matches_brute_force(graph):
+    # flip=-1 complements every row, so it asks for an independent set
+    rows, drawn = graph
+    n = len(rows)
+    for within in (drawn, (1 << n) - 1):
+        subsets = [sub for sub in range(within + 1) if sub & within == sub]
+        for flip, edge in ((0, True), (-1, False)):
+            for size in range(n + 2):
+                brute = any(all((rows[u] >> v & 1) == edge for u, v in combinations(
+                    [w for w in range(n) if sub >> w & 1], 2))
+                    for sub in subsets if sub.bit_count() == size)
+                assert B._has_clique_in(rows, within, size, flip) == brute, (flip, size)
+
+
 @pytest.mark.parametrize("order", range(7))
 def test_good_graph_search_matches_brute_force(order):
     numbers = _clique_and_independence_numbers(order)
@@ -322,7 +351,7 @@ def test_good_graph_search_matches_brute_force(order):
             assert (rows is not None) == exists, (s, t)
             if rows is not None:
                 assert not B._has_clique_in(rows, (1 << order) - 1, s)
-                assert not B._has_independent_in(rows, (1 << order) - 1, t)
+                assert not B._has_clique_in(rows, (1 << order) - 1, t, -1)
 
 
 @pytest.mark.parametrize("s, t", [(3, 4), (4, 3)])

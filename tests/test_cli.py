@@ -216,6 +216,17 @@ def test_timeout_zero_is_valid(monkeypatch, capsys, command):
     assert json.loads(out)
 
 
+def test_unbuildable_edge_list_names_the_error(monkeypatch, capsys):
+    # a MemoryError has no text: the message gives its type instead
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("coverlab.formats.build_graph", no_memory)
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 1000000000000000\n"))
+    code, out, err = run(capsys, "solve", "-")
+    assert (code, out, err) == (4, "", "error: MemoryError\n")
+
+
 @pytest.mark.parametrize("table", ['{"3,3": ', '{"3": 6}', '[6]', '{"3,3": 6.5}',
                                    '{"3,0": 6}', '{"3,3": "6"}'])
 @pytest.mark.parametrize("command", ["construct", "bounds"])

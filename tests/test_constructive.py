@@ -250,9 +250,11 @@ def test_cover_to_path_cover_star_too_large():
 
 def test_conversion_rejects_invalid_certificate():
     g = gen.path(4)
-    bad = PieceCertificate(PieceKind.SP_ANY, "cover", ((0, 1),), False, 1)
-    with pytest.raises(BadInput):
-        cover_to_star_cover(g, bad, 4)
+    # a negative vertex lies outside V(G) too, and is not shifted into a mask
+    for pieces in (((0, 1),), ((0, 1, 2, 3), (-1,))):
+        bad = PieceCertificate(PieceKind.SP_ANY, "cover", pieces, False, 1)
+        with pytest.raises(BadInput):
+            cover_to_star_cover(g, bad, 4)
 
 
 def test_conversion_preserves_partition_mode():

@@ -10,7 +10,6 @@ import coverlab
 # module.function[.nested] -> why its depth stays small
 BOUNDED_RECURSIONS = {
     "bounds._has_clique_in": "depth at most the Ramsey search order",
-    "bounds._has_independent_in": "depth at most the Ramsey search order",
     "bounds._good_graph_exists.extend": "depth at most the Ramsey search order",
 }
 
