@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import FormatError
 
@@ -25,8 +24,7 @@ def weakest(*statuses: Status) -> Status:
     return max(statuses, key=_STATUS_RANK.__getitem__)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """A non-negative integer with provenance.
 
     value is None when the number is well-defined but too large to
@@ -186,10 +184,12 @@ def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
     Trivial identities and completed searches give EXACT; the embedded
     table gives TABLE_EXACT; otherwise the binomial bound applies.
     Raising max_search_order (e.g. to 9) lets R(3,4) be re-derived by
-    exhaustive search.
+    exhaustive search; 0 means no search.
     """
     if s < 1 or t < 1:
         raise ValueError("Ramsey arguments must be positive")
+    if max_search_order < 0:
+        raise ValueError(f"max_search_order >= 0 required, got {max_search_order}")
     s, t = min(s, t), max(s, t)
     if s == 1:
         return BoundValue(1, Status.EXACT, note="R(1,t)=1")
@@ -294,8 +294,7 @@ def dominating_set_bound(n: int, l0: int, max_digits: int = 100_000) -> BoundVal
     return _dominating_sum(rnn, _alpha_chain(n, l0, max_digits), l0)
 
 
-@dataclass(frozen=True)
-class SymbolicConstant:
+class SymbolicConstant(NamedTuple):
     """constant_term + coefficient * c_chi(n), with c_chi unknown.
 
     The chi-bounding constant for {K_n, F^(1)_n}-free graphs has no

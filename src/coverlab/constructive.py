@@ -10,22 +10,20 @@ certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import generators as gen
 from .bounds import BoundValue, Status, ramsey, xi_value
 from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      InternalInvariantBroken, PathTooLong, StarTooLarge)
-from .graph import (Graph, PieceKind, bits, certificate_fault, distance_rings,
-                    is_connected, mask_of, piece_shape_mask)
+from .graph import (Graph, PieceKind, Record, bits, certificate_fault,
+                    distance_rings, is_connected, mask_of, piece_shape_mask)
 from .iso import ForbiddenFamily, freeness_witness, target_family
 from .solvers import (PieceCertificate, chromatic_coloring,
                       min_dominating_set, validate_certificate)
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """Result of one constructive run: certificate plus proof-state log."""
 
     algorithm: str
@@ -255,19 +253,24 @@ def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
 # operations wherever it is looked at.
 
 
-@dataclass
-class _LayeredState:
-    """Shared state of the long-branch construction."""
+class _LayeredState(Record):
+    """Shared state of the long-branch construction; mutable, so unhashable."""
 
-    g: Graph
-    n: int
-    root: int
-    rings: tuple[int, ...]    # rings[i] = mask of layer i, distance i from the root
-    nu: int                   # ν = R(n-1, n) - 1, the slice-size bound
-    k: list[int]              # k[h], 1-based, k[h0+1] = 2n
-    q_paths: list[list[int]]  # q_paths[h-1] = vertices of Q_h by layer
-    q_masks: list[int]        # q_masks[h-1] = vertex mask of Q_h
-    h0: int = 0
+    _fields = ("g", "n", "root", "rings", "nu", "k", "q_paths", "q_masks", "h0")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, g: Graph, n: int, root: int, rings: tuple[int, ...],
+                 nu: int, k: list[int], q_paths: list[list[int]],
+                 q_masks: list[int], h0: int = 0):
+        self.g, self.n, self.root = g, n, root
+        self.rings = rings      # rings[i] = mask of layer i, distance i from the root
+        self.nu = nu            # ν = R(n-1, n) - 1, the slice-size bound
+        self.k = k              # k[h], 1-based, k[h0+1] = 2n
+        self.q_paths = q_paths  # q_paths[h-1] = vertices of Q_h by layer
+        self.q_masks = q_masks  # q_masks[h-1] = vertex mask of Q_h
+        self.h0 = h0
 
 
 def _least(mask: int) -> int:

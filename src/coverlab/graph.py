@@ -7,7 +7,6 @@ Graphs are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -43,17 +42,48 @@ class PieceKind(Enum):
     SP_ANY = "sp_any"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Value semantics for a small class with the fields `_fields`:
+    equality and hash by value, a `Name(field=value, ...)` repr, and no
+    assignment to an attribute once built, so `__init__` sets the fields
+    in `self.__dict__`.  For a type that needs validation, a per-instance
+    cache, its own iteration or mutation; any other value type is a
+    `typing.NamedTuple`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(Record):
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of v."""
 
-    order: int
-    adj: tuple[int, ...]
-    label: Optional[str] = None
+    _fields = ("order", "adj", "label")
 
-    def __post_init__(self):
-        if len(self.adj) != self.order:
+    def __init__(self, order: int, adj: tuple[int, ...], label: Optional[str] = None):
+        if len(adj) != order:
             raise IndexOutOfRange("adjacency length does not match order")
+        self.__dict__.update(order=order, adj=adj, label=label)
 
     # -- basic queries -------------------------------------------------
 

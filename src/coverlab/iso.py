@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import generators as gen
 from .errors import DisconnectedMember
-from .graph import Graph, bits, is_connected, mask_of
+from .graph import Graph, Record, bits, is_connected, mask_of
 from .solvers import INVARIANT_SPECS
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective vertex map pattern -> host preserving adjacency both ways."""
 
     map: tuple[int, ...]
@@ -21,10 +19,11 @@ class Embedding:
         return tuple(sorted(self.map))
 
 
-@dataclass(frozen=True)
-class ForbiddenFamily:
-    members: tuple[Graph, ...]
-    name: Optional[str] = None
+class ForbiddenFamily(Record):
+    _fields = ("members", "name")
+
+    def __init__(self, members: tuple[Graph, ...], name: Optional[str] = None):
+        self.__dict__.update(members=members, name=name)
 
     def __iter__(self):
         return iter(self.members)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import chain, tee
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import Disconnected
-from .graph import Graph, PieceKind, bits, certificate_fault, is_connected, mask_of
+from .graph import (Graph, PieceKind, Record, bits, certificate_fault, is_connected,
+                    mask_of)
 
 # invariant name -> (piece kind, mode), in the order the CLI and verify list them
 INVARIANT_SPECS = {
@@ -29,18 +29,17 @@ INVARIANT_SPECS = {
 }
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    timeout: Optional[float] = None
+class SolveConfig(Record):
+    _fields = ("timeout",)
 
-    def __post_init__(self):
+    def __init__(self, timeout: Optional[float] = None):
         # a NaN deadline would compare false everywhere and never fire
-        if self.timeout is not None and math.isnan(self.timeout):
+        if timeout is not None and math.isnan(timeout):
             raise ValueError("timeout must not be NaN")
+        self.__dict__["timeout"] = timeout
 
 
-@dataclass(frozen=True)
-class PieceCertificate:
+class PieceCertificate(NamedTuple):
     """A cover or partition by pieces, with optimality metadata."""
 
     kind: PieceKind
@@ -548,10 +547,14 @@ def invariant_value(g: Graph, name: str,
 
 def validate_certificate(g: Graph, cert: PieceCertificate) -> bool:
     """Is cert a cover or partition of V(G) by pieces of its kind?  A
-    piece of the wrong shape, or with a vertex outside V(G), gives False;
-    an empty piece raises EmptyPiece."""
-    if min(chain.from_iterable(cert.pieces), default=0) < 0:
-        return False  # no mask can hold a negative vertex
+    mode other than "cover" or "partition", or a piece of the wrong shape
+    or with a vertex that is not an int of V(G), gives False; an empty
+    piece raises EmptyPiece."""
+    if cert.mode not in ("cover", "partition"):
+        return False
+    for v in chain.from_iterable(cert.pieces):
+        if not isinstance(v, int) or v < 0:
+            return False  # no mask can hold it
     return certificate_fault(g, g.full_mask, cert.kind, cert.mode,
                              map(mask_of, cert.pieces)) is None
 

@@ -122,6 +122,13 @@ def test_table_override(tmp_path, monkeypatch):
     assert B.ramsey(3, 4).value == 9
 
 
+def test_negative_search_order_is_rejected():
+    for s, t in ((3, 4), (1, 5)):
+        with pytest.raises(ValueError, match="max_search_order >= 0"):
+            B.ramsey(s, t, max_search_order=-1)
+    assert B.ramsey(3, 4, max_search_order=0).value == 9  # 0: no search
+
+
 def test_dominating_set_bound_small_cases():
     # l0 = 2: R(4,4) * alpha_{4,2} + 1 = 18*17 + 1
     bv = B.dominating_set_bound(4, 2)

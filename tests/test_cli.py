@@ -392,6 +392,8 @@ def test_timeout_must_be_finite(tmp_path, capsys, command, timeout):
      "--timeout must be a finite number >= 0, got -1.0"),
     (["convert-cover", "-", "--to", "star", "--n", "4", "--timeout", "-0.5"],
      "--timeout must be a finite number >= 0, got -0.5"),
+    (["bounds", "ramsey", "3", "4", "--search-order", "-1"],
+     "max_search_order >= 0 required, got -1"),
 ])
 def test_argument_and_parameter_errors_exit_4(monkeypatch, capsys, argv, message):
     # convert-cover reads P_5 from stdin

@@ -92,6 +92,15 @@ def test_validate_certificate_negative():
     with pytest.raises(EmptyPiece):
         validate_certificate(g, PieceCertificate(PieceKind.PATH, "cover",
                                                  ((0, 1, 2, 3), ()), False, 1))
+    # a vertex that is not an int, or a mode that is neither "cover" nor
+    # "partition", gives False too
+    p3 = gen.path(3)
+    for pieces in (((0, 1, 2), (1.0,)), (("a",),)):
+        odd = PieceCertificate(PieceKind.PATH, "cover", pieces, False, 1)
+        assert not validate_certificate(p3, odd)
+    banana = PieceCertificate(PieceKind.PATH, "banana", ((0, 1), (1, 2)), False, 1)
+    assert not validate_certificate(p3, banana)
+    assert validate_certificate(p3, banana._replace(mode="cover"))
 
 
 def test_nan_timeout_is_rejected():

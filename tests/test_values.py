@@ -1,0 +1,84 @@
+"""coverlab's value types, NamedTuples and small `graph.Record` classes:
+construction by position and by keyword with defaults, equality and hash
+by value, a `Name(field=value, ...)` repr, frozen fields and pickling."""
+
+import pickle
+
+import pytest
+
+from coverlab import generators as gen
+from coverlab.bounds import BoundValue, Status, SymbolicConstant
+from coverlab.constructive import ConstructionTrace
+from coverlab.errors import IndexOutOfRange
+from coverlab.graph import Graph, PieceKind
+from coverlab.iso import Embedding, ForbiddenFamily
+from coverlab.solvers import PieceCertificate, SolveConfig
+
+CERT = PieceCertificate(PieceKind.PATH, "cover", ((0, 1, 2),), True, 1)
+NINE = BoundValue(9, Status.TABLE_EXACT)
+
+# (type, every field in order with its default where it has one,
+#  how many fields have no default, fields changed to other values)
+VALUES = [
+    (PieceCertificate, {"kind": PieceKind.PATH, "mode": "cover", "pieces": ((0, 1, 2),),
+                        "optimal": True, "lower_bound": 1}, 5, {"optimal": False}),
+    (BoundValue, {"value": 9, "status": Status.TABLE_EXACT, "note": "", "witness": None},
+     2, {"note": "table"}),
+    (SymbolicConstant, {"constant_term": BoundValue(0, Status.EXACT),
+                        "coefficient": NINE, "symbol": "c_chi"}, 2, {"symbol": "c"}),
+    (Embedding, {"map": (2, 0, 1)}, 1, {"map": (0, 1, 2)}),
+    (ConstructionTrace, {"algorithm": "sp_cover", "n": 4, "intermediate": {"depth": 2},
+                         "result": CERT, "claimed_bound": NINE}, 5, {"n": 5}),
+    (Graph, {"order": 3, "adj": (2, 5, 2), "label": None}, 2, {"label": "P_3"}),
+    (SolveConfig, {"timeout": None}, 0, {"timeout": 0.5}),
+    (ForbiddenFamily, {"members": (gen.path(4),), "name": None}, 1, {"name": "P_4"}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, required, changed", VALUES,
+                         ids=[row[0].__name__ for row in VALUES])
+def test_value_type(cls, fields, required, changed):
+    by_keyword = cls(**dict(list(fields.items())[:required]))
+    by_position = cls(*fields.values())
+    for name, value in fields.items():
+        assert getattr(by_keyword, name) == getattr(by_position, name) == value
+    other = cls(*{**fields, **changed}.values())
+    assert [getattr(other, name) for name in changed] == list(changed.values())
+    assert by_keyword == by_position and by_keyword != other
+    if any(isinstance(v, dict) for v in fields.values()):
+        with pytest.raises(TypeError):  # a dict field is unhashable
+            hash(by_keyword)
+    else:
+        assert hash(by_keyword) == hash(by_position)
+        assert len({by_keyword, by_position, other}) == 2
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, fields[name])
+    copy = pickle.loads(pickle.dumps(other))
+    assert type(copy) is cls and copy == other
+    inner = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(by_position) == f"{cls.__name__}({inner})"
+
+
+def test_named_tuple_types_are_tuples():
+    assert len(CERT) == 5
+    assert CERT == (PieceKind.PATH, "cover", ((0, 1, 2),), True, 1)
+    assert CERT.value == 1
+
+
+def test_graph_checks_adjacency_length():
+    with pytest.raises(IndexOutOfRange):
+        Graph(2, (0,))
+
+
+def test_forbidden_family_iterates_its_members():
+    members = (gen.path(4), gen.star(3))
+    assert list(ForbiddenFamily(members, name="x")) == list(members)
+
+
+def test_graph_caches_rings_and_components():
+    g = gen.path(5)
+    assert g.rings is g.rings and g.components is g.components
+    # the caches are no fields: they change neither equality nor the copy
+    assert g == gen.path(5) and hash(g) == hash(gen.path(5))
+    assert pickle.loads(pickle.dumps(g)) == g
