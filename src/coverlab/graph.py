@@ -249,10 +249,19 @@ def _path_order(g: Graph, mask: int) -> Optional[list[int]]:
 
 def _is_isometric(g: Graph, order: list[int]) -> bool:
     """Is the induced path with vertices `order` isometric?  The ends of
-    an isometric path of k + 1 vertices lie k apart; a longer induced
-    path may reach past its end's last ring."""
-    ring, k = g.rings[order[0]], len(order) - 1
-    return k < len(ring) and bool(ring[k] >> order[-1] & 1)
+    an isometric path of k + 1 vertices lie k apart: one BFS from its
+    first end, stopped at depth k, so no `Graph.rings` are built."""
+    adj = g.adj
+    ring = seen = 1 << order[0]
+    for _ in range(len(order) - 1):
+        nxt = 0
+        while ring:
+            low = ring & -ring
+            nxt |= adj[low.bit_length() - 1]
+            ring ^= low
+        ring = nxt & ~seen
+        seen |= ring
+    return bool(ring >> order[-1] & 1)
 
 
 def piece_shape_mask(g: Graph, mask: int, kind: PieceKind) -> bool:

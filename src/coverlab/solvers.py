@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import time
+from functools import wraps
 from itertools import chain, tee
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
+                    TypeVar)
 
 from .errors import Disconnected
 from .graph import (Graph, PieceKind, Record, bits, certificate_fault, is_connected,
@@ -54,6 +56,27 @@ class PieceCertificate(NamedTuple):
 
 
 # -- piece enumeration -------------------------------------------------
+
+
+T = TypeVar("T")
+
+
+def _per_graph(build: Callable[[Graph], T]) -> Callable[[Graph], T]:
+    """`build(g)`, made once per graph and kept in `g.__dict__`, the store
+    of `functools.cached_property` (`Graph.rings`, `Graph.components`),
+    so it lives exactly as long as g.  The key holds a dot, so no field
+    or attribute can clash with it.  Every later call returns the same
+    object, so `build` returns an immutable one."""
+    key = f"solvers.{build.__name__}"
+
+    @wraps(build)
+    def shared(g: Graph) -> T:
+        held = g.__dict__
+        if key not in held:
+            held[key] = build(g)
+        return held[key]
+    shared.key = key
+    return shared
 
 
 def _independent_subsets(g: Graph, within: int, size: int) -> list[int]:
@@ -125,8 +148,10 @@ def _clique_cover_size(g: Graph, within: int) -> int:
     return count
 
 
+@_per_graph
 def _largest_star(g: Graph) -> int:
-    """The order of a largest induced star: 1 + max_c alpha(N(c)).
+    """The order of a largest induced star: 1 + max_c alpha(N(c)), found
+    once per graph, for `insp` and `inspp` both.
 
     alpha is at most the number of cliques in any clique cover, so a
     centre whose neighbourhood has a greedy cover by at most best - 1
@@ -171,9 +196,11 @@ def _maximal_independent_sets(g: Graph, within: int) -> list[int]:
     return out
 
 
-def _maximal_stars(g: Graph) -> set[int]:
+@_per_graph
+def _maximal_stars(g: Graph) -> frozenset[int]:
     """Maximal induced stars: a centre plus a maximal independent set of
-    its neighbourhood.
+    its neighbourhood; listed once per graph, for `insc` and `inspc`
+    both.
 
     Only a 2-vertex star {c, l} can lie in another star: one centred at l,
     when l has a neighbour outside N[c].
@@ -185,7 +212,7 @@ def _maximal_stars(g: Graph) -> set[int]:
             if leaves.bit_count() == 1 and g.adj[leaves.bit_length() - 1] & ~closed:
                 continue
             out.add(1 << c | leaves)
-    return out
+    return frozenset(out)
 
 
 def _paths_at(g: Graph, within: int, v: int,
@@ -235,11 +262,26 @@ def _paths_at(g: Graph, within: int, v: int,
     return out
 
 
+@_per_graph
+def _maximal_paths(g: Graph) -> tuple[int, ...]:
+    """The maximal induced paths, from the walks `_paths_at(g, V>=v, v,
+    None, True)` over all v: each path once, from its least vertex.
+    Listed once per graph, for `inpc` and `inspc` both."""
+    full = g.full_mask
+    return tuple(m for v in range(g.order)
+                 for m in _paths_at(g, full >> v << v, v, None, True))
+
+
+@_per_graph
 def _longest_path(g: Graph) -> int:
-    """The order of a longest induced path.  It is maximal, and lies
-    inside V>=v for its least vertex v, so it is among the maximal paths
-    that `_paths_at` walks from v; the walks stop once no n - v vertices
-    left could hold a longer one."""
+    """The order of a longest induced path, found once per graph, for
+    `inpp` and `inspp` both.  It is maximal, so when g already holds its
+    maximal paths it is the largest of them.  Else: it lies inside V>=v
+    for its least vertex v, so it is among the maximal paths that
+    `_paths_at` walks from v; the walks stop once no n - v vertices left
+    could hold a longer one, and are not kept."""
+    if _maximal_paths.key in g.__dict__:
+        return max(map(int.bit_count, _maximal_paths(g)), default=0)
     best, full = 0, g.full_mask
     for v in range(g.order):
         if best >= g.order - v:
@@ -251,20 +293,23 @@ def _longest_path(g: Graph) -> int:
 
 def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
     """All inclusion-maximal piece vertex sets, as bitmasks sorted by
-    (-size, mask).  Only covers use them: any cover piece may be grown
-    to a maximal one without breaking the cover; a partition reads only
-    the largest piece size, from `_largest_star`, `_longest_path` or
-    `Graph.rings`.
+    (-size, mask), in a new list.  Only covers use them: any cover piece
+    may be grown to a maximal one without breaking the cover; a partition
+    reads only the largest piece size, from `_largest_star`,
+    `_longest_path` or `Graph.rings`.  The stars and the ring-free paths
+    come from `_maximal_stars` and `_maximal_paths`, kept per graph; the
+    isometric paths are walked here.
     """
     if not isinstance(kind, PieceKind):
         raise ValueError(f"unknown kind {kind!r}")
     if kind is PieceKind.STAR:
-        cand = _maximal_stars(g)
-    else:
+        cand: Iterable[int] = _maximal_stars(g)
+    elif kind is PieceKind.ISOMETRIC_PATH:
         # each path is walked once: from its least vertex v, inside V>=v
-        ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
         cand = [m for v in range(g.order)
-                for m in _paths_at(g, g.full_mask >> v << v, v, ring, True)]
+                for m in _paths_at(g, g.full_mask >> v << v, v, g.rings, True)]
+    else:
+        cand = _maximal_paths(g)
     if kind is PieceKind.SP_ANY:
         # K_1, K_2 and P_3 are of both shapes: keep them if maximal as each
         stars, paths = _maximal_stars(g), set(cand)
@@ -629,14 +674,20 @@ def chromatic_number(g: Graph) -> int:
 
 def min_dominating_set(g: Graph) -> list[int]:
     """A minimum dominating set, as a sorted vertex list: a least cover of
-    V by closed neighbourhoods, each distinct N[v] standing for its least v."""
+    V by the inclusion-maximal closed neighbourhoods, each standing for
+    its least v.  A cover keeps covering when a piece grows, so a least
+    one need not use an N[v] inside another; and N[v] lies in N[w] only
+    for w in N(v), so N[v] is compared with its neighbours' alone."""
     if g.order == 0:
         return []
     if not is_connected(g):
         raise Disconnected("dominating-set subroutine requires a connected graph")
-    owner: dict[int, int] = {}
-    for v in range(g.order):
-        owner.setdefault(g.adj[v] | 1 << v, v)
+    closed = [g.adj[v] | 1 << v for v in range(g.order)]
+    # v gives way to a neighbour whose N[w] holds N[v] and is larger, or
+    # is the same with a smaller w
+    owner = {closed[v]: v for v in range(g.order) if not any(
+        closed[v] & ~closed[w] == 0 and (closed[w] != closed[v] or w < v)
+        for w in bits(g.adj[v]))}
     pieces = _largest_first(owner)
     masks = _search(g.full_mask, pieces[0].bit_count(),
                     _cover_branch(g.order, pieces, (g.full_mask,)), math.inf)[1]

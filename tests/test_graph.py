@@ -118,6 +118,14 @@ def test_isometric_path_shape():
     assert not piece_shape_mask(c, mask_of([0, 1, 2, 3, 4]), PieceKind.ISOMETRIC_PATH)
 
 
+def test_isometric_check_builds_no_rings():
+    # one BFS from the path's first end, stopped at its length: no BFS
+    # from every vertex, as `Graph.rings` would run
+    g = gen.path(1200)
+    assert piece_shape_mask(g, g.full_mask, PieceKind.ISOMETRIC_PATH)
+    assert "rings" not in g.__dict__
+
+
 def test_sp_any_accepts_both():
     assert piece_shape_mask(gen.star(3), mask_of(range(4)), PieceKind.SP_ANY)
     assert piece_shape_mask(gen.path(4), mask_of(range(4)), PieceKind.SP_ANY)

@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import random
+import time
 from itertools import combinations, count, zip_longest
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 import coverlab
 from coverlab import cli, formats, generators as gen, graph, naive, solvers
 from coverlab.errors import Disconnected, EmptyPiece
-from coverlab.graph import (PieceKind, bits, build_graph, connected_components,
-                            is_independent, mask_of, piece_shape_mask)
+from coverlab.graph import (Graph, PieceKind, bits, build_graph, connected_components,
+                            is_connected, is_independent, mask_of, piece_shape_mask)
 from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
                               chromatic_coloring, chromatic_number,
                               clique_number, enumerate_maximal_pieces,
@@ -181,7 +182,8 @@ def test_distance_rings_built_once_per_graph(monkeypatch):
         mod = importlib.import_module(f"coverlab.{info.name}")
         if getattr(mod, "distance_rings", None) is real:
             monkeypatch.setattr(mod, "distance_rings", counted)
-    # so does validating its certificate, whose isometric test reads them
+    # validating its certificate runs none: its isometric test runs a
+    # BFS of its own, stopped at the path's length
     cert = invariant_value(g, "ispp")
     assert cert.optimal and validate_certificate(g, cert)
     assert len(calls) == g.order + 1
@@ -515,6 +517,60 @@ def test_min_dominating_set_matches_brute_force(g):
     assert d == sorted(set(d))
 
 
+def twin_heavy_graphs():
+    """K_n, K_a,b, or a connected graph with each vertex blown up into
+    true or false twins: closed neighbourhoods that hold one another."""
+    complete = st.integers(1, 9).map(gen.complete)
+    bipartite = st.tuples(st.integers(1, 5), st.integers(1, 4)).map(
+        lambda ab: build_graph(sum(ab), [(u, v) for u in range(ab[0])
+                                         for v in range(ab[0], sum(ab))]))
+    return st.one_of(complete, bipartite, connected_graphs(max_order=4).flatmap(
+        lambda h: st.lists(st.tuples(st.integers(1, 2), st.booleans()),
+                           min_size=h.order, max_size=h.order).map(
+            lambda copies: twin_blowup(h, copies))).filter(is_connected))
+
+
+def twin_blowup(h, copies):
+    """h with vertex v replaced by copies[v] = (k, joined): k twins,
+    adjacent to each other when `joined`, and each adjacent to every copy
+    of v's neighbours in h."""
+    starts = [0]
+    for k, _ in copies:
+        starts.append(starts[-1] + k)
+    edges = [(a, b) for v, (k, joined) in enumerate(copies) if joined
+             for a, b in combinations(range(starts[v], starts[v] + k), 2)]
+    edges += [(a, b) for u, w in h.edges()
+              for a in range(starts[u], starts[u + 1])
+              for b in range(starts[w], starts[w + 1])]
+    return build_graph(starts[-1], edges)
+
+
+# only the inclusion-maximal closed neighbourhoods are cover pieces,
+# one per set of twins: the size stays that of a least dominating set
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(twin_heavy_graphs())
+def test_min_dominating_set_on_twins_matches_brute_force(g):
+    d = min_dominating_set(g)
+    gamma = next(k for k in count(1) if any(
+        dominates(g, c) for c in combinations(range(g.order), k)))
+    assert len(d) == gamma and dominates(g, d)
+
+
+def test_min_dominating_set_of_a_sparse_bipartite_graph_is_fast():
+    # every closed neighbourhood inside another one is dropped before the
+    # search: here 13.4 s with all of them kept
+    rng = random.Random(5)
+    while True:
+        g = build_graph(80, [(a, b) for a in range(40) for b in range(40, 80)
+                             if rng.random() < 0.06])
+        if is_connected(g):
+            break
+    start = time.monotonic()
+    d = min_dominating_set(g)
+    assert time.monotonic() - start < 2
+    assert len(d) == 26 and dominates(g, d)
+
+
 def test_known_small_values():
     c5 = gen.cycle(5)
     assert min_cover(c5, PieceKind.SP_ANY).value == 2
@@ -652,6 +708,69 @@ def test_invariants_add_over_components(g):
     for name in INVARIANT_SPECS:
         assert invariant_value(g, name).value == sum(
             invariant_value(h, name).value for h in parts), name
+
+
+def solve_all(g, names=tuple(INVARIANT_SPECS)):
+    return {name: invariant_value(g, name) for name in names}
+
+
+def test_one_graph_walks_each_maximal_path_once(monkeypatch):
+    # inpc and inspc share the maximal paths, and inpp and inspp the
+    # longest one, which is read off them once they are listed
+    g = gen.random_connected(12, 0.3, random.Random(4))
+    real, walks = solvers._paths_at, []
+
+    def counted(h, within, v, ring, maximal):
+        if ring is None and maximal:
+            walks.append(v)
+        return real(h, within, v, ring, maximal)
+
+    monkeypatch.setattr(solvers, "_paths_at", counted)
+    solve_all(g)
+    assert sorted(walks) == list(range(g.order))
+
+
+def test_one_graph_lists_each_centres_maximal_stars_once(monkeypatch):
+    # insc and inspc share the maximal stars: one Bron-Kerbosch per centre
+    g = gen.random_connected(12, 0.3, random.Random(4))
+    real, calls = solvers._maximal_independent_sets, []
+
+    def counted(h, within):
+        calls.append(within)
+        return real(h, within)
+
+    monkeypatch.setattr(solvers, "_maximal_independent_sets", counted)
+    solve_all(g)
+    assert sorted(calls) == sorted(g.adj)
+
+
+def test_shared_values_are_immutable():
+    g = gen.random_connected(10, 0.4, random.Random(6))
+    solve_all(g)
+    kept = {builder: g.__dict__[builder.key] for builder in (
+        solvers._maximal_paths, solvers._maximal_stars,
+        solvers._longest_path, solvers._largest_star)}
+    assert [type(v) for v in kept.values()] == [tuple, frozenset, int, int]
+    assert all(builder(g) is value for builder, value in kept.items())
+    # a cover's piece list is its own: changing it changes no later solve
+    for kind in (PieceKind.PATH, PieceKind.STAR, PieceKind.SP_ANY):
+        pieces = enumerate_maximal_pieces(g, kind)
+        expected = list(pieces)
+        pieces.clear()
+        assert enumerate_maximal_pieces(g, kind) == expected, kind
+
+
+# the results a graph keeps from one solve change no other solve's
+# certificate: each invariant solved after the other seven on one graph
+# matches a solve on a fresh copy of it, disconnected graphs included
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs(max_order=9))
+def test_shared_results_match_fresh_solves(g):
+    for name in INVARIANT_SPECS:
+        shared = Graph(g.order, g.adj)
+        solve_all(shared, [other for other in INVARIANT_SPECS if other != name])
+        assert invariant_value(shared, name) == invariant_value(
+            Graph(g.order, g.adj), name), name
 
 
 # the memo keeps exact optima and lower bounds found under a budget;

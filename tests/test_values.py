@@ -12,7 +12,8 @@ from coverlab.constructive import ConstructionTrace
 from coverlab.errors import IndexOutOfRange
 from coverlab.graph import Graph, PieceKind
 from coverlab.iso import Embedding, ForbiddenFamily
-from coverlab.solvers import PieceCertificate, SolveConfig
+from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
+                              invariant_value)
 
 CERT = PieceCertificate(PieceKind.PATH, "cover", ((0, 1, 2),), True, 1)
 NINE = BoundValue(9, Status.TABLE_EXACT)
@@ -82,3 +83,15 @@ def test_graph_caches_rings_and_components():
     # the caches are no fields: they change neither equality nor the copy
     assert g == gen.path(5) and hash(g) == hash(gen.path(5))
     assert pickle.loads(pickle.dumps(g)) == g
+
+
+def test_graph_holding_shared_results_is_the_same_value():
+    # a graph keeps what its solves share (maximal paths and stars, the
+    # longest path, the largest star) next to its cached properties
+    g, fresh = gen.cycle(7), gen.cycle(7)
+    certs = {name: invariant_value(g, name) for name in INVARIANT_SPECS}
+    assert any(key.startswith("solvers.") for key in g.__dict__)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(g))
+    assert type(copy) is Graph and copy == fresh and repr(copy) == repr(fresh)
+    assert {name: invariant_value(copy, name) for name in INVARIANT_SPECS} == certs
