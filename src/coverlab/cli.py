@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 2 a check failed (validation or verification, and
 nothing else), 3 timeout, 4 input error (malformed input, a bad argument or
-an out-of-range parameter), 5 resource failure (a RecursionError, kept as
-a guard: the solver searches on an explicit stack, one component at a
-time, so K_1,1100 plus 1100 isolated vertices now answers insp = 1101).
+an out-of-range parameter), 5 resource failure (a MemoryError, or a
+RecursionError, kept as a guard: the solver searches on an explicit stack,
+one component at a time, so K_1,1100 plus 1100 isolated vertices now
+answers insp = 1101).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,6 +198,8 @@ def cmd_convert_cover(args) -> int:
 def cmd_bounds(args) -> int:
     if args.what == "ramsey" and args.b is None:
         raise ParseError("bounds ramsey needs two arguments")
+    if args.what == "constants" and args.b is not None:
+        raise ParseError("bounds constants takes one argument")
     try:  # bounds rejects out-of-range parameters with ValueError
         if args.what == "ramsey":
             table = {f"R({args.a},{args.b})": bounds_mod.ramsey(
@@ -326,9 +330,10 @@ COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser for every command, or for `command` alone.  A call runs
-    one command, so `main` builds only its subparser; building all nine
-    took most of the CLI's own time per call."""
+    """A new parser for every command, or for `command` alone.  `main`
+    builds each one once per process, on first use, through `_parser`:
+    building took most of the CLI's own time per call, and a call runs one
+    command, so it never needs the other eight subparsers."""
     top = _Parser(
         prog="coverlab",
         description="Induced star/path cover and partition invariants.")
@@ -341,11 +346,16 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return top
 
 
+# each parser kept for the life of the process: parse_args only reads it and
+# makes a new Namespace each call, and the only defaults set are the handlers
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parser(command).parse_args(argv)
         return args.fn(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -358,6 +368,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except RecursionError as exc:
         print(f"error: input too large for the solver: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        # a MemoryError has no text of its own as a rule
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import multiprocessing
@@ -300,6 +301,15 @@ def test_solve_too_deep_exits_5(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_out_of_memory_exits_5(monkeypatch, capsys):
+    def no_memory(spec):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.gen, "generate", no_memory)
+    code, out, err = run(capsys, "gen", "k:100000000000000")
+    assert (code, out, err) == (5, "", "error: MemoryError\n")
+
+
 def test_solve_large_star_partition_from_stdin(monkeypatch, capsys):
     # `coverlab gen star:1100 | coverlab solve - --invariants insp,insc`;
     # insc's maximal stars come from a Bron-Kerbosch run 1100 leaves deep
@@ -394,6 +404,7 @@ def test_timeout_must_be_finite(tmp_path, capsys, command, timeout):
      "--timeout must be a finite number >= 0, got -0.5"),
     (["bounds", "ramsey", "3", "4", "--search-order", "-1"],
      "max_search_order >= 0 required, got -1"),
+    (["bounds", "constants", "4", "7"], "bounds constants takes one argument"),
 ])
 def test_argument_and_parameter_errors_exit_4(monkeypatch, capsys, argv, message):
     # convert-cover reads P_5 from stdin
@@ -419,11 +430,46 @@ def test_help_same_from_one_command_parser(capsys, command):
     with pytest.raises(SystemExit) as full:
         cli.build_parser().parse_args([command, "--help"])
     expected = capsys.readouterr().out
-    with pytest.raises(SystemExit) as one:  # main builds `command` alone
+    with pytest.raises(SystemExit) as one:  # main's parser has `command` alone
         cli.main([command, "--help"])
     assert full.value.code == one.value.code == 0
     assert capsys.readouterr().out == expected
     assert expected.startswith(f"usage: coverlab {command} ")
+
+
+def test_main_builds_each_parser_once(tmp_path, monkeypatch, capsys):
+    built, build = [], cli.build_parser
+
+    def counting(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(counting))
+    path = tmp_path / "p4.txt"
+    path.write_text("p 4\n0 1\n1 2\n2 3\n")
+    for argv in (["solve", str(path)], ["solve", str(path), "--invariants", "insp"],
+                 ["gen", "p:3"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == ["solve", "gen"]
+
+
+def test_kept_parser_unchanged_by_errors_and_help(tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text("p 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+    argv = ["solve", str(path), "--invariants", "inpp,inspc"]
+    src = os.path.dirname(os.path.dirname(coverlab.__file__))
+    fresh = subprocess.run([sys.executable, "-m", "coverlab.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, check=True)
+    code, out, err = run(capsys, "solve", str(path), "--timeout", "abc")
+    assert code == 4 and out == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == fresh.stdout
 
 
 def test_top_level_help_lists_every_command(capsys):

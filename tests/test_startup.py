@@ -48,3 +48,18 @@ def test_guard_sees_every_import_form():
                      "def f():\n"
                      "    import inspect\n")
     assert imported_modules(tree) == {"dataclasses", "os", "inspect"}
+
+
+def test_cli_import_builds_no_parser():
+    # a parser is built on a command's first call, never at import, so a
+    # one-shot process builds exactly one
+    src = pathlib.Path(coverlab.__file__).parents[1]
+    probe = ("import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+             "def counting(self, *a, **k):\n"
+             "    built.append(type(self).__name__); init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counting\n"
+             "import coverlab.cli; print(built)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
