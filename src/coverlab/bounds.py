@@ -12,16 +12,18 @@ from .errors import FormatError
 
 
 class Status(Enum):
+    """Provenance of a number, declared from strongest to weakest."""
+
     EXACT = "exact"
     TABLE_EXACT = "table_exact"
     UPPER_BOUND_ONLY = "upper_bound_only"
 
 
-_STATUS_RANK = {Status.EXACT: 0, Status.TABLE_EXACT: 1, Status.UPPER_BOUND_ONLY: 2}
+_STRONGEST_FIRST = list(Status)
 
 
 def weakest(*statuses: Status) -> Status:
-    return max(statuses, key=_STATUS_RANK.__getitem__)
+    return max(statuses, key=_STRONGEST_FIRST.index)
 
 
 class BoundValue(NamedTuple):
@@ -184,7 +186,9 @@ def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
     Trivial identities and completed searches give EXACT; the embedded
     table gives TABLE_EXACT; otherwise the binomial bound applies.
     Raising max_search_order (e.g. to 9) lets R(3,4) be re-derived by
-    exhaustive search; 0 means no search.
+    exhaustive search; 0 means no search.  A table entry up to
+    max_search_order is searched, and one the search refutes raises
+    FormatError.
     """
     if s < 1 or t < 1:
         raise ValueError("Ramsey arguments must be positive")
@@ -195,25 +199,22 @@ def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
         return BoundValue(1, Status.EXACT, note="R(1,t)=1")
     if s == 2:
         return BoundValue(t, Status.EXACT, note="R(2,t)=t")
-    if (s, t) in _search_cache:
-        v = _search_cache[(s, t)]
-        return BoundValue(v, Status.EXACT,
-                          witness={"method": "exhaustive", "order": v})
-    table = _load_table()
-    hint = table.get((s, t))
-    if hint is not None and hint <= max_search_order:
+    if (s, t) not in _search_cache:
+        hint = _load_table().get((s, t))
+        if hint is None:
+            return BoundValue(binomial_bound(s, t), Status.UPPER_BOUND_ONLY,
+                              note="binomial bound")
+        if hint > max_search_order:
+            return BoundValue(hint, Status.TABLE_EXACT)
         try:
-            v = ramsey_exact_search(s, t, max_order=max_search_order)
-        except SearchBudgetExceeded:
-            return BoundValue(hint, Status.TABLE_EXACT,
-                              note="search budget exceeded; table value")
-        _search_cache[(s, t)] = v
-        return BoundValue(v, Status.EXACT,
-                          witness={"method": "exhaustive", "order": v})
-    if hint is not None:
-        return BoundValue(hint, Status.TABLE_EXACT)
-    return BoundValue(binomial_bound(s, t), Status.UPPER_BOUND_ONLY,
-                      note="binomial bound")
+            _search_cache[(s, t)] = ramsey_exact_search(s, t, max_order=max_search_order)
+        except SearchBudgetExceeded:  # a good graph on hint vertices exists
+            path = os.environ.get(TABLE_ENV_VAR) or "(built-in)"
+            raise FormatError(f'Ramsey table {path}: entry "{s},{t}": {hint} is '
+                              f'refuted: the search to order {max_search_order} '
+                              f'found R({s},{t}) > {max_search_order}') from None
+    v = _search_cache[(s, t)]
+    return BoundValue(v, Status.EXACT, witness={"method": "exhaustive", "order": v})
 
 
 # -- derived quantities ------------------------------------------------
@@ -264,28 +265,40 @@ def alpha_value(n: int, h: int, max_digits: int = 100_000) -> BoundValue:
     return _alpha_chain(n, h, max_digits)[-1]
 
 
+def _combine(op, *parts: BoundValue, note: str = "") -> BoundValue:
+    """op of the parts' values, at the weakest of their statuses; not
+    materialized if any part is not."""
+    values = [p.value for p in parts]
+    if None in values:
+        return BoundValue(None, Status.UPPER_BOUND_ONLY,
+                          note="component not materialized")
+    return BoundValue(op(*values), weakest(*[p.status for p in parts]), note)
+
+
+def nu_value(n: int) -> BoundValue:
+    """nu_n = R(n-1,n) - 1, the slice-size bound of the long branch."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    r = ramsey(n - 1, n)
+    return BoundValue(r.value - 1, r.status)
+
+
 def xi_value(n: int, i: int) -> BoundValue:
-    """xi_{n,i} = ((R(n-1,n)-1)^i - 1) / (R(n-1,n)-2)."""
+    """xi_{n,i} = (nu_n^i - 1) / (nu_n - 1)."""
     if n < 3 or i < 1:
         raise ValueError("n >= 3 and i >= 1 required")
-    r = ramsey(n - 1, n)
-    nu = r.value - 1
-    value = (nu ** i - 1) // (nu - 1)
-    return BoundValue(value, r.status)
+    nu = nu_value(n)
+    return BoundValue((nu.value ** i - 1) // (nu.value - 1), nu.status)
 
 
 def _dominating_sum(rnn: BoundValue, chain: list[BoundValue],
                     l0: int) -> BoundValue:
     """R(n,n) * sum_{2<=h<=l0} alpha_{n,h} + 1 from an alpha chain that
     reaches h = l0 or ends over budget before it."""
-    status = rnn.status
-    total = 0
-    for a in chain[1:l0]:
-        if a.value is None:
-            return BoundValue(None, Status.UPPER_BOUND_ONLY, note=a.note)
-        status = weakest(status, a.status)
-        total += a.value
-    return BoundValue(rnn.value * total + 1, status)
+    alphas = chain[1:l0]
+    if alphas and alphas[-1].value is None:  # the chain ended over budget
+        return alphas[-1]
+    return _combine(lambda r, *a: r * sum(a) + 1, rnn, *alphas)
 
 
 def dominating_set_bound(n: int, l0: int, max_digits: int = 100_000) -> BoundValue:
@@ -307,13 +320,10 @@ class SymbolicConstant(NamedTuple):
     symbol: str = "c_chi"
 
     def evaluate(self, c_chi: int) -> BoundValue:
-        if self.constant_term.value is None or self.coefficient.value is None:
-            return BoundValue(None, Status.UPPER_BOUND_ONLY,
-                              note="component not materialized")
-        return BoundValue(self.constant_term.value + self.coefficient.value * c_chi,
-                          weakest(self.constant_term.status, self.coefficient.status,
-                                  Status.UPPER_BOUND_ONLY),
-                          note="c_chi supplied externally")
+        # an externally supplied c_chi is only an upper bound
+        return _combine(lambda a, b, c: a + b * c, self.constant_term,
+                        self.coefficient, BoundValue(c_chi, Status.UPPER_BOUND_ONLY),
+                        note="c_chi supplied externally")
 
     def __str__(self):
         return f"{self.constant_term} + {self.coefficient} * {self.symbol}"
@@ -333,8 +343,7 @@ def paper_constants(n: int, max_digits: int = 100_000,
         raise ValueError(f"max_digits >= 1 required, got {max_digits}")
     if c_chi is not None and c_chi < 0:
         raise ValueError(f"c_chi >= 0 required, got {c_chi}")
-    r = ramsey(n - 1, n)
-    nu = BoundValue(r.value - 1, r.status)
+    nu = nu_value(n)
     xi = xi_value(n, n - 2)
     small, large = n * n - 1, n * n + 2 * n - 1
     rnn = ramsey(n, n)
@@ -342,28 +351,16 @@ def paper_constants(n: int, max_digits: int = 100_000,
     dom_small = _dominating_sum(rnn, chain, small)
     dom_large = _dominating_sum(rnn, chain, large)
 
-    def times(a: BoundValue, b: BoundValue) -> BoundValue:
-        if a.value is None or b.value is None:
-            return BoundValue(None, Status.UPPER_BOUND_ONLY,
-                              note="component not materialized")
-        return BoundValue(a.value * b.value, weakest(a.status, b.status))
-
-    def plus(a: BoundValue, b: BoundValue) -> BoundValue:
-        if a.value is None or b.value is None:
-            return BoundValue(None, Status.UPPER_BOUND_ONLY,
-                              note="component not materialized")
-        return BoundValue(a.value + b.value, weakest(a.status, b.status))
-
     zero = BoundValue(0, Status.EXACT)
     c1_small = SymbolicConstant(zero, dom_small)
     c1_large = SymbolicConstant(zero, dom_large)
-    c2_small = times(dom_small, xi)
-    c2_large = times(dom_large, xi)
+    c2_small = _combine(lambda d, x: d * x, dom_small, xi)
+    c2_large = _combine(lambda d, x: d * x, dom_large, xi)
     lead = BoundValue((n - 1) ** 2 * nu.value, nu.status)
     c_inspc = SymbolicConstant(
-        lead, plus(times(lead, dom_small), dom_large))
-    c_inspp = plus(BoundValue((n - 1) ** 2, Status.EXACT),
-                   plus(times(lead, c2_small), c2_large))
+        lead, _combine(lambda a, d, e: a * d + e, lead, dom_small, dom_large))
+    c_inspp = _combine(lambda a, c, e: (n - 1) ** 2 + a * c + e,
+                       lead, c2_small, c2_large)
     out = {
         "nu": nu,
         "xi": xi,

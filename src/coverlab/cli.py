@@ -100,7 +100,6 @@ def cmd_solve(args) -> int:
         "graph": {"order": g.order, "edges": g.edge_count(),
                   "graph6": formats.to_graph6(g)},
         "invariants": {},
-        "cross_checks": {},
     }
     timed_out = False
     values = {}
@@ -116,18 +115,12 @@ def cmd_solve(args) -> int:
             "lower_bound": cert.lower_bound,
             "pieces": [list(p) for p in cert.pieces],
         }
-    for lo, hi in verify.CHAIN_PAIRS:
-        if lo in values and hi in values:
-            report["cross_checks"][f"{lo}<={hi}"] = values[lo] <= values[hi]
-    if "inspc" in values:
-        chi = solvers.chromatic_number(g)
-        report["cross_checks"]["chi<=2*inspc"] = chi <= 2 * values["inspc"]
-        report["cross_checks"]["chi"] = chi
+    checks, chi = verify.cross_checks(g, values)
+    report["cross_checks"] = checks if chi is None else {**checks, "chi": chi}
     _write_out(json.dumps(report, sort_keys=True, indent=2), args.out)
     if timed_out:
         return EXIT_TIMEOUT
-    if not all(v is True for k, v in report["cross_checks"].items()
-               if k != "chi"):
+    if not all(checks.values()):
         return EXIT_FAIL
     return EXIT_OK
 

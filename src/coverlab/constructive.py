@@ -13,10 +13,11 @@ import json
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import generators as gen
-from .bounds import BoundValue, Status, ramsey, xi_value
+from .bounds import BoundValue, Status, nu_value, xi_value
 from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
-                     InternalInvariantBroken, PathTooLong, StarTooLarge)
-from .graph import (Graph, PieceKind, Record, bits, certificate_fault,
+                     IndexOutOfRange, InternalInvariantBroken, PathTooLong,
+                     StarTooLarge)
+from .graph import (Graph, PieceKind, bits, certificate_fault,
                     distance_rings, is_connected, mask_of, piece_shape_mask)
 from .iso import ForbiddenFamily, freeness_witness, target_family
 from .solvers import (PieceCertificate, chromatic_coloring,
@@ -119,10 +120,14 @@ def star_partition_neighborhood(g: Graph, x: int, X: Iterable[int], n: int,
     Runs the block recursion: each block has an apex adjacent to all of
     it; a maximal independent set minus a minimal dominating subset
     forms the apex's star, and each dominating vertex becomes the apex
-    of a next-stage block.
+    of a next-stage block.  A vertex outside V(G) raises IndexOutOfRange.
     """
     if n < 3:
         raise BadParameter("n >= 3 required")
+    X = list(X)
+    for v in (x, *X):
+        if not 0 <= v < g.order:
+            raise IndexOutOfRange(f"vertex {v} outside [0,{g.order})")
     x_mask = 1 << x
     X_mask = mask_of(X)
     if X_mask & ~g.adj[x]:
@@ -253,13 +258,8 @@ def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
 # operations wherever it is looked at.
 
 
-class _LayeredState(Record):
-    """Shared state of the long-branch construction; mutable, so unhashable."""
-
-    _fields = ("g", "n", "root", "rings", "nu", "k", "q_paths", "q_masks", "h0")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+class _LayeredState:
+    """Shared, mutable state of the long-branch construction."""
 
     def __init__(self, g: Graph, n: int, root: int, rings: tuple[int, ...],
                  nu: int, k: list[int], q_paths: list[list[int]],
@@ -393,10 +393,6 @@ def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
     return out
 
 
-def _nu(n: int) -> int:
-    return ramsey(n - 1, n).value - 1
-
-
 def _woven_paths(st: _LayeredState, p: int, band: range) -> list[int]:
     """Induced path cover of the band layers `band` at stage p, as vertex masks."""
     per_layer = [_slices(st, p, i) for i in band]
@@ -495,7 +491,7 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
                         "delegate": t.intermediate}
         return ConstructionTrace(algorithm, n, intermediate, t.result, bound_note)
 
-    st = _build_q_paths(g, n, root, rings, _nu(n))
+    st = _build_q_paths(g, n, root, rings, nu_value(n).value)
     _check_q_claims(st)
     J, m, L = _index_sets(st)
     pieces: list[int] = []

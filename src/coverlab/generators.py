@@ -72,34 +72,34 @@ def s_tilde(n: int) -> Graph:
     return build_graph(2 * n + 1, edges, label=f"S~_{n}")
 
 
+# F^(1)..F^(5)_n: two n-vertex paths y_1..y_n and z_1..z_n hung from a
+# head of `heads` vertices.  Layout: the head 0..heads-1, then
+# y_i = heads-1+i, then z_i = heads-1+n+i; each family gives its head
+# edges as a function of y_1 and z_1.
+
+
+def _two_paths(family: int, n: int, heads: int, head_edges) -> Graph:
+    if n < 2:
+        raise BadParameter(f"f{family}: n >= 2 required")
+    y1, z1 = heads, heads + n
+    edges = head_edges(y1, z1)
+    for start in (y1, z1):
+        edges += [(v, v + 1) for v in range(start, start + n - 1)]
+    return build_graph(heads + 2 * n, edges, label=f"F{family}_{n}")
+
+
 def f1(n: int) -> Graph:
     """F^(1)_n: x_1=0, x_2=1, y_i=1+i, z_i=1+n+i.
 
     Edges x_1 x_2, x_1 y_1, x_1 z_1 plus the two paths on the y- and
     z-blocks.
     """
-    if n < 2:
-        raise BadParameter("f1: n >= 2 required")
-    y = lambda i: 1 + i
-    z = lambda i: 1 + n + i
-    edges = [(0, 1), (0, y(1)), (0, z(1))]
-    for i in range(1, n):
-        edges.append((y(i), y(i + 1)))
-        edges.append((z(i), z(i + 1)))
-    return build_graph(2 * n + 2, edges, label=f"F1_{n}")
+    return _two_paths(1, n, 2, lambda y1, z1: [(0, 1), (0, y1), (0, z1)])
 
 
 def f2(n: int) -> Graph:
     """F^(2)_n: x_1=0, y_i=i, z_i=n+i; triangle x_1 y_1 z_1 plus two paths."""
-    if n < 2:
-        raise BadParameter("f2: n >= 2 required")
-    y = lambda i: i
-    z = lambda i: n + i
-    edges = [(0, y(1)), (0, z(1)), (y(1), z(1))]
-    for i in range(1, n):
-        edges.append((y(i), y(i + 1)))
-        edges.append((z(i), z(i + 1)))
-    return build_graph(2 * n + 1, edges, label=f"F2_{n}")
+    return _two_paths(2, n, 1, lambda y1, z1: [(0, y1), (0, z1), (y1, z1)])
 
 
 def f3(n: int) -> Graph:
@@ -107,42 +107,19 @@ def f3(n: int) -> Graph:
 
     Every x_i is adjacent to y_1 and z_1; the y- and z-blocks are paths.
     """
-    if n < 2:
-        raise BadParameter("f3: n >= 2 required")
-    y = lambda i: n + i - 1
-    z = lambda i: 2 * n + i - 1
-    edges = []
-    for i in range(n):
-        edges.append((i, y(1)))
-        edges.append((i, z(1)))
-    for i in range(1, n):
-        edges.append((y(i), y(i + 1)))
-        edges.append((z(i), z(i + 1)))
-    return build_graph(3 * n, edges, label=f"F3_{n}")
+    return _two_paths(3, n, n, lambda y1, z1: [(x, w) for x in range(n)
+                                               for w in (y1, z1)])
 
 
 def f4(n: int) -> Graph:
     """F^(4)_n: F^(3)_n with x_3..x_n deleted.  x_1=0, x_2=1, y_i=1+i, z_i=1+n+i."""
-    if n < 2:
-        raise BadParameter("f4: n >= 2 required")
-    y = lambda i: 1 + i
-    z = lambda i: 1 + n + i
-    edges = []
-    for x in (0, 1):
-        edges.append((x, y(1)))
-        edges.append((x, z(1)))
-    for i in range(1, n):
-        edges.append((y(i), y(i + 1)))
-        edges.append((z(i), z(i + 1)))
-    return build_graph(2 * n + 2, edges, label=f"F4_{n}")
+    return _two_paths(4, n, 2, lambda y1, z1: [(0, y1), (0, z1), (1, y1), (1, z1)])
 
 
 def f5(n: int) -> Graph:
     """F^(5)_n: F^(4)_n plus the edge x_1 x_2."""
-    if n < 2:
-        raise BadParameter("f5: n >= 2 required")
-    g = f4(n)
-    return build_graph(g.order, g.edges() + [(0, 1)], label=f"F5_{n}")
+    return _two_paths(5, n, 2, lambda y1, z1: [(0, 1), (0, y1), (0, z1),
+                                               (1, y1), (1, z1)])
 
 
 def k_star(n: int) -> Graph:

@@ -31,17 +31,15 @@ class ForbiddenFamily(Record):
 
 def _pattern_order(pattern: Graph) -> list[int]:
     """Vertex order for the search: grow connectivity, high degree first."""
+    adj = pattern.adj
+    degree = [row.bit_count() for row in adj]
     remaining = set(range(pattern.order))
     order: list[int] = []
     placed_mask = 0
     while remaining:
-        best = None
-        for v in sorted(remaining):
-            anchored = (pattern.adj[v] & placed_mask).bit_count()
-            key = (anchored, pattern.degree(v), -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        v = best[1]
+        # the keys end in -u, so no two tie
+        v = max(remaining, key=lambda u: ((adj[u] & placed_mask).bit_count(),
+                                          degree[u], -u))
         order.append(v)
         remaining.remove(v)
         placed_mask |= 1 << v
@@ -170,25 +168,25 @@ def family_leq(f1: ForbiddenFamily, f2: ForbiddenFamily) -> bool:
 INVARIANTS = tuple(INVARIANT_SPECS)
 
 
+# invariant -> the generators of its characterizing family, each called
+# at the family's size n; ispc and ispp share the rows of inpc and inpp
+_TARGETS = {
+    "inspc": (gen.complete, gen.s_star, gen.f1, gen.f2, gen.f3),
+    "inspp": (gen.complete, gen.s_star, gen.s_tilde, gen.f1, gen.f2, gen.f4, gen.f5),
+    "insc": (gen.complete, gen.s_star, gen.path),
+    "insp": (gen.complete, gen.s_star, gen.s_tilde, gen.path),
+    "inpc": (gen.complete, gen.star, gen.f1, gen.f2),
+    "inpp": (gen.complete, gen.star, gen.f1, gen.f2, gen.f4, gen.f5),
+}
+_TARGETS["ispc"], _TARGETS["ispp"] = _TARGETS["inpc"], _TARGETS["inpp"]
+
+
 def target_family(invariant: str, n: int) -> ForbiddenFamily:
     """The characterizing forbidden family of the given invariant at size n."""
-    if invariant == "inspc":
-        members = (gen.complete(n), gen.s_star(n), gen.f1(n), gen.f2(n), gen.f3(n))
-    elif invariant == "inspp":
-        members = (gen.complete(n), gen.s_star(n), gen.s_tilde(n),
-                   gen.f1(n), gen.f2(n), gen.f4(n), gen.f5(n))
-    elif invariant == "insc":
-        members = (gen.complete(n), gen.s_star(n), gen.path(n))
-    elif invariant == "insp":
-        members = (gen.complete(n), gen.s_star(n), gen.s_tilde(n), gen.path(n))
-    elif invariant in ("inpc", "ispc"):
-        members = (gen.complete(n), gen.star(n), gen.f1(n), gen.f2(n))
-    elif invariant in ("inpp", "ispp"):
-        members = (gen.complete(n), gen.star(n), gen.f1(n), gen.f2(n),
-                   gen.f4(n), gen.f5(n))
-    else:
+    if invariant not in _TARGETS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    return ForbiddenFamily(members, name=f"{invariant}:{n}")
+    return ForbiddenFamily(tuple(make(n) for make in _TARGETS[invariant]),
+                           name=f"{invariant}:{n}")
 
 
 def characterize(family: ForbiddenFamily, invariant: str) -> Optional[int]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coverlab import bounds as B
+from coverlab.errors import FormatError
 
 
 def test_trivial_identities():
@@ -382,3 +383,28 @@ def test_search_runs_with_s_at_most_t(monkeypatch):
     monkeypatch.setattr(B, "_good_graph_exists", spy)
     assert B.ramsey_exact_search(4, 3, max_order=9) == 9
     assert calls and all(s <= t for s, t in calls)
+
+
+def test_refuted_table_entry_raises(tmp_path, monkeypatch):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"4,3": 5}))
+    monkeypatch.setenv(B.TABLE_ENV_VAR, str(path))
+    monkeypatch.setattr(B, "_search_cache", {})
+    # the search finds (K_3, I_4)-free graphs up to order 6: R(3,4) > 6
+    with pytest.raises(FormatError) as exc:
+        B.ramsey(3, 4, max_search_order=6)
+    assert str(exc.value) == (f'Ramsey table {path}: entry "3,4": 5 is refuted: '
+                              'the search to order 6 found R(3,4) > 6')
+    with pytest.raises(FormatError, match="is refuted"):
+        B.paper_constants(4)
+    # above the search order the entry is not searched
+    assert B.ramsey(4, 3, max_search_order=4) == B.BoundValue(5, B.Status.TABLE_EXACT)
+    assert B.ramsey(3, 4, max_search_order=0) == B.BoundValue(5, B.Status.TABLE_EXACT)
+
+
+def test_nu_value():
+    assert B.nu_value(4).value == 8  # R(3,4) - 1
+    assert B.nu_value(3) == B.BoundValue(2, B.Status.EXACT)  # R(2,3) - 1
+    assert B.paper_constants(5)["nu"] == B.nu_value(5)
+    with pytest.raises(ValueError, match="n >= 2 required"):
+        B.nu_value(1)

@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coverlab
-from coverlab import bounds, cli, verify
+from coverlab import bounds, cli, formats, generators as gen, verify
 from coverlab.formats import from_edge_list, from_graph6
 from coverlab.graph import PieceKind
 
@@ -166,6 +167,20 @@ def test_construct(tmp_path, capsys):
     assert code == 2 and "K_4" in err
 
 
+def test_construct_partition(tmp_path, capsys):
+    p40 = tmp_path / "p40.txt"
+    run(capsys, "gen", "p:40", "--out", str(p40))
+    code, out, err = run(capsys, "construct", str(p40), "--mode", "partition",
+                         "--n", "4")
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["mode"] == "partition"
+    cert = cli.solvers.PieceCertificate(
+        PieceKind(result["kind"]), "partition",
+        tuple(map(tuple, result["pieces"])), False, result["lower_bound"])
+    assert cli.solvers.validate_certificate(gen.path(40), cert)
+
+
 def test_convert_cover(tmp_path, capsys):
     k5 = tmp_path / "k5.txt"
     run(capsys, "gen", "k:5", "--out", str(k5))
@@ -208,6 +223,36 @@ def test_solve_validates_a_timed_out_certificate(monkeypatch, capsys):
     assert err == "error: inpc: certificate failed validation\n"
 
 
+def test_solve_timed_out_answer_exits_3(tmp_path, capsys):
+    path = tmp_path / "g7.txt"
+    g = gen.random_connected(7, 0.4, random.Random(11))
+    path.write_text(formats.write_graph(g, "edges"))
+    code, out, err = run(capsys, "solve", str(path), "--invariants", "inpp",
+                         "--timeout", "0")
+    assert code == 3 and err == ""
+    got = json.loads(out)["invariants"]["inpp"]
+    assert (got["value"], got["optimal"], got["lower_bound"]) == (4, False, 2)
+    cert = cli.solvers.PieceCertificate(
+        PieceKind.PATH, "partition", tuple(map(tuple, got["pieces"])), False, 2)
+    assert cli.solvers.validate_certificate(g, cert)
+
+
+def test_solve_failed_cross_check_exits_2(monkeypatch, capsys):
+    # a redundant singleton still makes a valid cover, one piece too many
+    def padded(g, name, config, solve=cli.solvers.invariant_value):
+        cert = solve(g, name, config)
+        if name == "inspc":
+            cert = cert._replace(pieces=cert.pieces + ((0,),))
+        return cert
+
+    monkeypatch.setattr(cli.solvers, "invariant_value", padded)
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 4\n0 1\n0 2\n0 3\n"))
+    code, out, err = run(capsys, "solve", "-", "--invariants", "inspc,insc")
+    assert code == 2 and err == ""
+    checks = json.loads(out)["cross_checks"]
+    assert checks == {"inspc<=insc": False, "chi<=2*inspc": True, "chi": 2}
+
+
 @pytest.mark.parametrize("command", ["solve", "convert-cover"])
 def test_timeout_zero_is_valid(monkeypatch, capsys, command):
     monkeypatch.setattr("sys.stdin", io.StringIO("p 5\n0 1\n1 2\n2 3\n3 4\n"))
@@ -244,6 +289,22 @@ def test_malformed_table_exits_4(tmp_path, monkeypatch, capsys, table, command):
     assert code == 4 and out == ""
     assert err.startswith(f"error: Ramsey table {bad}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_refuted_table_entry_exits_4(tmp_path, monkeypatch, capsys):
+    table = tmp_path / "table.json"
+    table.write_text('{"3,4": 5}')
+    monkeypatch.setenv(bounds.TABLE_ENV_VAR, str(table))
+    monkeypatch.setattr(bounds, "_search_cache", {})
+    # the search finds (K_3, I_4)-free graphs up to order 6, so R(3,4) > 6
+    refuted = (f'error: Ramsey table {table}: entry "3,4": 5 is refuted: '
+               'the search to order 6 found R(3,4) > 6\n')
+    for argv in (("bounds", "ramsey", "3", "4", "--search-order", "6"),
+                 ("bounds", "constants", "4")):
+        assert run(capsys, *argv) == (4, "", refuted)
+    # an entry above the search order is not searched
+    assert (run(capsys, "bounds", "ramsey", "3", "4", "--search-order", "4")
+            == (0, "R(3,4) = 5 [table_exact]\n", ""))
 
 
 def test_bounds_command(capsys):

@@ -5,17 +5,17 @@ import pytest
 
 import coverlab.cli  # noqa: F401  -- loads every module a tracer wraps
 from coverlab import generators as gen
-from coverlab.bounds import BoundValue, Status
+from coverlab.bounds import BoundValue, Status, nu_value
 from coverlab.constructive import (_LayeredState, _build_q_paths,
                                    _check_q_claims, _finish, _forest_blocks,
-                                   _index_sets, _nu, _slices,
+                                   _index_sets, _slices,
                                    cover_to_path_cover, cover_to_star_cover,
                                    insc_bounded, insp_bounded,
                                    sp_cover_construct, sp_partition_construct,
                                    star_partition_neighborhood)
 from coverlab.errors import (BadInput, Disconnected, FreenessViolated,
-                             InternalInvariantBroken, PathTooLong,
-                             StarTooLarge)
+                             IndexOutOfRange, InternalInvariantBroken,
+                             PathTooLong, StarTooLarge)
 from coverlab.graph import (PieceKind, bits, build_graph, distance_rings,
                             mask_of, piece_shape_mask)
 from coverlab.iso import is_family_free, target_family
@@ -60,6 +60,12 @@ def test_neighborhood_rejects_bad_subset():
     g = gen.path(4)
     with pytest.raises(BadInput):
         star_partition_neighborhood(g, 0, [3], 4)
+
+
+@pytest.mark.parametrize("x,X,bad", [(-1, [1], -1), (0, [-1], -1), (9, [], 9)])
+def test_neighborhood_rejects_a_vertex_outside_the_graph(x, X, bad):
+    with pytest.raises(IndexOutOfRange, match=rf"^vertex {bad} outside \[0,4\)$"):
+        star_partition_neighborhood(gen.star(3), x, X, 4)
 
 
 def test_insc_bounded_examples():
@@ -334,7 +340,7 @@ LONG_BRANCH_GRAPHS = [
                          ids=[f"{name}{g.order}" for name, g in LONG_BRANCH_GRAPHS])
 def test_layered_helpers_match_reference(name, g, n):
     rings = distance_rings(g, 0)
-    st = _build_q_paths(g, n, 0, rings, _nu(n))
+    st = _build_q_paths(g, n, 0, rings, nu_value(n).value)
     for q, q_mask in zip(st.q_paths, st.q_masks):
         assert q == ref_least_index_path(g, rings, q[-1])
         assert q_mask == mask_of(q)

@@ -52,6 +52,8 @@ def test_graph6_errors():
         from_graph6("C~~~~")  # wrong body length
     with pytest.raises(FormatError):
         from_graph6("~A")  # truncated order
+    with pytest.raises(FormatError, match="bad graph6 character '!'"):
+        from_graph6("C!")  # a body byte below 63
 
 
 @pytest.mark.parametrize("text", ["!", "~!!!", "~?!?", "~~!!!!!!", "~~?????!"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coverlab import generators as gen
 from coverlab.errors import DisconnectedMember
 from coverlab.graph import build_graph
-from coverlab.iso import (INVARIANTS, ForbiddenFamily, _pattern_order,
+from coverlab.iso import (INVARIANTS, Embedding, ForbiddenFamily, _pattern_order,
                           characterize, contains_induced, family_leq,
                           freeness_witness, is_family_free, target_family)
 from coverlab.verify import theorems
@@ -45,6 +45,11 @@ def test_contains_induced_matches_brute_force():
         pattern = random_graph(rng, rng.randint(1, 4), rng.uniform(0.2, 0.8))
         got = contains_induced(host, pattern) is not None
         assert got == brute_contains_induced(host, pattern)
+
+
+def test_empty_pattern_embeds_everywhere():
+    for host in (build_graph(0, []), gen.path(3)):
+        assert contains_induced(host, build_graph(0, [])) == Embedding(())
 
 
 def test_embedding_is_induced():

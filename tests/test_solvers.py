@@ -912,6 +912,17 @@ def test_large_spider_partition_times_out_with_a_certificate():
     assert cert.lower_bound <= cert.value
 
 
+def test_order_zero_graph():
+    g = build_graph(0, [])
+    for name in INVARIANT_SPECS:
+        cert = invariant_value(g, name)
+        assert (cert.value, cert.optimal, cert.lower_bound) == (0, True, 0), name
+        assert validate_certificate(g, cert)
+    assert solvers.chromatic_coloring(g) == []
+    assert solvers.chromatic_number(g) == 0
+    assert solvers.min_dominating_set(g) == []
+
+
 @pytest.mark.parametrize("solve", [min_cover, min_partition])
 @pytest.mark.parametrize("order", [0, 5])
 def test_unknown_kind_is_rejected(solve, order):
