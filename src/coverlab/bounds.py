@@ -187,8 +187,8 @@ def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
     table gives TABLE_EXACT; otherwise the binomial bound applies.
     Raising max_search_order (e.g. to 9) lets R(3,4) be re-derived by
     exhaustive search; 0 means no search.  A table entry up to
-    max_search_order is searched, and one the search refutes raises
-    FormatError.
+    max_search_order is searched, and one the search refutes, from above
+    or below, raises FormatError; only a confirmed value is kept.
     """
     if s < 1 or t < 1:
         raise ValueError("Ramsey arguments must be positive")
@@ -207,12 +207,17 @@ def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
         if hint > max_search_order:
             return BoundValue(hint, Status.TABLE_EXACT)
         try:
-            _search_cache[(s, t)] = ramsey_exact_search(s, t, max_order=max_search_order)
+            value = ramsey_exact_search(s, t, max_order=max_search_order)
         except SearchBudgetExceeded:  # a good graph on hint vertices exists
+            value = None
+        if value != hint:
             path = os.environ.get(TABLE_ENV_VAR) or "(built-in)"
+            found = (f"R({s},{t}) > {max_search_order}" if value is None
+                     else f"R({s},{t}) = {value}")
             raise FormatError(f'Ramsey table {path}: entry "{s},{t}": {hint} is '
                               f'refuted: the search to order {max_search_order} '
-                              f'found R({s},{t}) > {max_search_order}') from None
+                              f'found {found}')
+        _search_cache[(s, t)] = value
     v = _search_cache[(s, t)]
     return BoundValue(v, Status.EXACT, witness={"method": "exhaustive", "order": v})
 

@@ -253,13 +253,16 @@ def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
 # -- layered long-path machinery ---------------------------------------
 #
 # The long branch runs on the distance rings of the whole graph from the
-# root (layer i is the mask rings[i]), the Q-path masks and ν, each built
-# once per construction, so every layer vertex costs a few mask
-# operations wherever it is looked at.
+# root (layer i is the mask rings[i]), the Q-path masks, their
+# neighbourhoods and ν, each built once per construction, so every layer
+# vertex costs a few mask operations wherever it is looked at.
 
 
 class _LayeredState:
-    """Shared, mutable state of the long-branch construction."""
+    """Shared, mutable state of the long-branch construction.
+
+    `q_near` is built here from `q_masks`, and grows with each Q-path
+    that `_build_q_paths` adds."""
 
     def __init__(self, g: Graph, n: int, root: int, rings: tuple[int, ...],
                  nu: int, k: list[int], q_paths: list[list[int]],
@@ -270,17 +273,19 @@ class _LayeredState:
         self.k = k              # k[h], 1-based, k[h0+1] = 2n
         self.q_paths = q_paths  # q_paths[h-1] = vertices of Q_h by layer
         self.q_masks = q_masks  # q_masks[h-1] = vertex mask of Q_h
+        # q_near[h-1] = N[Q_h - root]: it leaves out the root's other
+        # neighbours, on which the other Q-paths start
+        off_root = ~(1 << root)
+        self.q_near = [_closed_neighbourhood(g, m & off_root) for m in q_masks]
         self.h0 = h0
 
 
-def _least(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def _closed_neighbourhood(g: Graph, mask: int) -> int:
-    out = mask
-    for v in bits(mask):
-        out |= g.adj[v]
+    adj, out = g.adj, mask
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -289,46 +294,55 @@ def _parent(g: Graph, rings: Sequence[int], x: int, i: int) -> int:
     up = g.adj[x] & rings[i - 1]
     if not up:
         raise InternalInvariantBroken("layer vertex with no parent")
-    return _least(up)
+    return (up & -up).bit_length() - 1
 
 
 def _build_q_paths(g: Graph, n: int, root: int, rings: tuple[int, ...],
                    nu: int) -> _LayeredState:
     st = _LayeredState(g, n, root, rings, nu, [0], [], [])
+    adj, off_root = g.adj, ~(1 << root)
 
-    def add(k_h: int, w: int) -> None:
-        # shortest root->w path, taking the least-index parent at each step
-        q = [w]
-        for j in range(k_h, 0, -1):
-            q.append(_parent(g, rings, q[-1], j))
+    def add(k_h: int, w: int) -> int:
+        """Add Q_h, the shortest root->w path taking the least-index
+        parent at each step, and return N[Q_h - root]."""
+        q, x, q_mask = [w], w, 1 << w
+        for j in range(k_h - 1, -1, -1):
+            up = adj[x] & rings[j]
+            if not up:
+                raise InternalInvariantBroken("layer vertex with no parent")
+            low = up & -up
+            x = low.bit_length() - 1
+            q.append(x)
+            q_mask |= low
         q.reverse()
         st.k.append(k_h)
         st.q_paths.append(q)
-        st.q_masks.append(mask_of(q))
+        st.q_masks.append(q_mask)
+        st.q_near.append(_closed_neighbourhood(g, q_mask & off_root))
+        return st.q_near[-1]
 
     # Q_1: least-index vertex of the deepest layer
     depth = len(rings) - 1
-    add(depth, _least(rings[depth]))
-    near = _closed_neighbourhood(g, st.q_masks[0])  # N[Q_1 ∪ ... ∪ Q_h]
+    deepest = rings[depth]
+    # N[Q_1 ∪ ... ∪ Q_h] on the layers the search looks at, all past layer 2n
+    near = add(depth, (deepest & -deepest).bit_length() - 1)
     while st.k[-1] >= 3 * n + 2:
-        chosen = None
+        far = ~near
         for i in range(st.k[-1] - n - 1, 2 * n, -1):
             # the least layer vertex neither on nor next to a Q-path
-            cand = rings[i] & ~near
+            cand = rings[i] & far
             if cand:
-                chosen = (i, _least(cand))
+                near |= add(i, (cand & -cand).bit_length() - 1)
                 break
-        if chosen is None:
+        else:
             break
-        add(*chosen)
-        near |= _closed_neighbourhood(g, st.q_masks[-1])
     st.k.append(2 * n)
     st.h0 = len(st.q_paths)
     return st
 
 
 def _check_q_claims(st: _LayeredState) -> None:
-    g, n = st.g, st.n
+    n, adj, rings = st.n, st.g.adj, st.rings
     # layer membership: Q_h hits each layer 0..k_h exactly once
     for h, q in enumerate(st.q_paths, start=1):
         if len(q) != st.k[h] + 1:
@@ -337,22 +351,33 @@ def _check_q_claims(st: _LayeredState) -> None:
     root_bit = 1 << st.root
     for a in range(st.h0):
         for b in range(a + 1, st.h0):
-            ma = st.q_masks[a] & ~root_bit
             mb = st.q_masks[b] & ~root_bit
-            if ma & mb:
+            if st.q_masks[a] & mb:
                 raise InternalInvariantBroken("Q-paths share a non-root vertex")
-            for v in bits(ma):
-                if g.adj[v] & mb:
-                    raise InternalInvariantBroken("edge between distinct Q-paths")
+            if st.q_near[a] & mb:
+                raise InternalInvariantBroken("edge between distinct Q-paths")
     if st.h0 > n - 1:
         raise InternalInvariantBroken(f"number of Q-paths {st.h0} exceeds {n - 1}")
     # a layer vertex on or next to Q is pinned to the adjacent layer
-    # vertices of Q, for layers n+1 .. k_h - n - 1
-    for h, (q, qmask) in enumerate(zip(st.q_paths, st.q_masks), start=1):
-        near = _closed_neighbourhood(g, qmask)
-        for i in range(n + 1, st.k[h] - n):
-            pinned = g.adj[q[i - 1]] & g.adj[q[i + 1]] | 1 << q[i]
-            if st.rings[i] & near & ~pinned:
+    # vertices of Q, for layers n+1 .. k_h - n - 1.  Q's vertex in layer
+    # i is q[i], so only the vertices next to Q and off it are looked
+    # at; one next to q[j] lies in layer j - 1, j or j + 1.
+    for h, (q, q_mask, near) in enumerate(
+            zip(st.q_paths, st.q_masks, st.q_near), start=1):
+        lo, hi = n + 1, st.k[h] - n
+        if lo >= hi:
+            continue
+        at = {v: j for j, v in enumerate(q)}
+        off = near & ~q_mask
+        while off:
+            low = off & -off
+            off ^= low
+            seen = adj[low.bit_length() - 1] & q_mask
+            j = at[(seen & -seen).bit_length() - 1]
+            if not lo - 1 <= j <= hi:
+                continue
+            i = j if rings[j] & low else j - 1 if rings[j - 1] & low else j + 1
+            if lo <= i < hi and not adj[q[i - 1]] & adj[q[i + 1]] & low:
                 raise InternalInvariantBroken(
                     "layer vertex near a Q-path misses its pinned neighbors")
 
@@ -394,30 +419,34 @@ def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
 
 
 def _woven_paths(st: _LayeredState, p: int, band: range) -> list[int]:
-    """Induced path cover of the band layers `band` at stage p, as vertex masks."""
+    """Induced path cover of the band layers `band` at stage p, as vertex masks.
+
+    Path j of Q_l takes the j-th vertex of Q_l's slice in each band
+    layer, or the slice's last one where the slice is narrower.  So Q_l
+    gets as many paths as its widest slice in the band, which `_slices`
+    bounds by ν: a further path would repeat the last.  The slices of
+    distinct Q-paths are disjoint, and no two paths are the same set.
+    """
     per_layer = [_slices(st, p, i) for i in band]
     masks = []
     for l in range(p):
-        for j in range(st.nu):
-            path = []
-            for slices in per_layer:
-                sl = slices[l]
-                if not sl:
-                    raise InternalInvariantBroken(
-                        "empty slice inside a band layer")
-                path.append(sl[min(j, len(sl) - 1)])
-            masks.append(mask_of(path))
-    # padding repeats vertices, so distinct (l, j) may give the same set
-    return list(dict.fromkeys(masks))
+        column = [slices[l] for slices in per_layer]
+        if not all(column):
+            raise InternalInvariantBroken("empty slice inside a band layer")
+        for j in range(max(map(len, column))):
+            masks.append(mask_of(sl[min(j, len(sl) - 1)] for sl in column))
+    return masks
 
 
 def _band_segments(st: _LayeredState, p: int, band: range) -> list[int]:
-    """Path partition of the band layers `band`: each Q-path restricted to them."""
-    out = [mask_of(st.q_paths[l][i] for i in band) for l in range(p)]
+    """Path partition of the band layers `band`: each Q-path's mask ANDed
+    with the band's layers, since Q_l meets layer i in q_l[i] alone."""
+    layers = sum(st.rings[i] for i in band)
+    out = [st.q_masks[l] & layers for l in range(p)]
     covered = 0
     for seg in out:
         covered |= seg
-    if covered != sum(st.rings[i] for i in band):
+    if covered != layers:
         raise InternalInvariantBroken(
             "band layer leaves the Q-paths; path partition impossible")
     return out

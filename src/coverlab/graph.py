@@ -179,8 +179,10 @@ def distance_rings(g: Graph, root: int) -> tuple[int, ...]:
     rings = [ring]
     while True:
         nxt = 0
-        for v in bits(ring):
-            nxt |= adj[v]
+        while ring:
+            low = ring & -ring
+            nxt |= adj[low.bit_length() - 1]
+            ring ^= low
         ring = nxt & ~seen
         if not ring:
             return tuple(rings)

@@ -402,6 +402,22 @@ def test_refuted_table_entry_raises(tmp_path, monkeypatch):
     assert B.ramsey(3, 4, max_search_order=0) == B.BoundValue(5, B.Status.TABLE_EXACT)
 
 
+
+@pytest.mark.parametrize("entry", (5, 7))
+def test_table_entry_the_search_contradicts_raises(tmp_path, monkeypatch, entry):
+    # R(3,3) = 6 is found within order 7, so an entry of 5 or 7 is wrong
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"3,3": entry}))
+    monkeypatch.setenv(B.TABLE_ENV_VAR, str(path))
+    monkeypatch.setattr(B, "_search_cache", {})
+    message = (f'Ramsey table {path}: entry "3,3": {entry} is refuted: '
+               'the search to order 7 found R(3,3) = 6')
+    for _ in range(2):  # the value found is never kept as exact
+        with pytest.raises(FormatError) as exc:
+            B.ramsey(3, 3, max_search_order=7)
+        assert str(exc.value) == message
+    assert B._search_cache == {}
+
 def test_nu_value():
     assert B.nu_value(4).value == 8  # R(3,4) - 1
     assert B.nu_value(3) == B.BoundValue(2, B.Status.EXACT)  # R(2,3) - 1

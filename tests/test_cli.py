@@ -307,6 +307,27 @@ def test_refuted_table_entry_exits_4(tmp_path, monkeypatch, capsys):
             == (0, "R(3,4) = 5 [table_exact]\n", ""))
 
 
+
+@pytest.mark.parametrize("entry", (5, 7))
+def test_table_entry_the_search_contradicts_exits_4(tmp_path, monkeypatch,
+                                                    capsys, entry):
+    table = tmp_path / "table.json"
+    table.write_text(f'{{"3,3": {entry}}}')
+    monkeypatch.setenv(bounds.TABLE_ENV_VAR, str(table))
+    monkeypatch.setattr(bounds, "_search_cache", {})
+    refuted = (f'error: Ramsey table {table}: entry "3,3": {entry} is refuted: '
+               'the search to order 7 found R(3,3) = 6\n')
+    for _ in range(2):
+        assert (run(capsys, "bounds", "ramsey", "3", "3", "--search-order", "7")
+                == (4, "", refuted))
+
+
+def test_built_in_table_entry_the_search_confirms_is_exact(monkeypatch, capsys):
+    monkeypatch.delenv(bounds.TABLE_ENV_VAR, raising=False)
+    monkeypatch.setattr(bounds, "_search_cache", {})
+    assert (run(capsys, "bounds", "ramsey", "3", "4", "--search-order", "9")
+            == (0, "R(3,4) = 9 [exact]\n", ""))
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "bounds", "ramsey", "3", "4")
     assert code == 0 and "= 9" in out

@@ -1,14 +1,16 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 import coverlab.cli  # noqa: F401  -- loads every module a tracer wraps
-from coverlab import generators as gen
+from coverlab import constructive, generators as gen
 from coverlab.bounds import BoundValue, Status, nu_value
-from coverlab.constructive import (_LayeredState, _build_q_paths,
-                                   _check_q_claims, _finish, _forest_blocks,
-                                   _index_sets, _slices,
+from coverlab.constructive import (_LayeredState, _band_segments,
+                                   _build_q_paths, _check_q_claims, _finish,
+                                   _forest_blocks, _index_sets, _slices,
+                                   _woven_paths,
                                    cover_to_path_cover, cover_to_star_cover,
                                    insc_bounded, insp_bounded,
                                    sp_cover_construct, sp_partition_construct,
@@ -295,6 +297,19 @@ def ref_slices(st, h, i):
     return out
 
 
+def ref_woven_paths(st, p, band):
+    # one path per (Q-path, j < ν), the slice's last vertex padding the
+    # narrow layers; repeats dropped, first occurrence kept
+    per_layer = [ref_slices(st, p, i) for i in band]
+    masks = [mask_of(slices[l][min(j, len(slices[l]) - 1)] for slices in per_layer)
+             for l in range(p) for j in range(st.nu)]
+    return list(dict.fromkeys(masks))
+
+
+def ref_band_segments(st, p, band):
+    return [mask_of(st.q_paths[l][i] for i in band) for l in range(p)]
+
+
 def ref_forest_blocks(st, lo, hi):
     parent, members = {}, []
     for i in range(lo, hi + 1):
@@ -347,13 +362,51 @@ def test_layered_helpers_match_reference(name, g, n):
     _check_q_claims(st)
     J, m, L = _index_sets(st)
     for p in L:
-        for i in range(J[p].start, J[p].stop - 1):
+        band = range(J[p].start, J[p].stop - 1)
+        for i in band:
             assert _slices(st, p, i) == ref_slices(st, p, i)
+        if band:
+            assert _woven_paths(st, p, band) == ref_woven_paths(st, p, band)
+            segments = ref_band_segments(st, p, band)
+            if sum(segments) == sum(st.rings[i] for i in band):
+                assert _band_segments(st, p, band) == segments
+            else:  # a blow-up's wide layers leave the Q-paths
+                with pytest.raises(InternalInvariantBroken, match="^band layer leaves"):
+                    _band_segments(st, p, band)
     blocks = [(m[p] - 1, st.k[L[idx - 1] + 1] if idx else st.k[1])
               for idx, p in enumerate(L)]
     blocks.append((0, st.k[L[-1] + 1]))
     for lo, hi in blocks:
         assert _forest_blocks(st, lo, hi) == ref_forest_blocks(st, lo, hi)
+
+
+# sha256 of `to_json()`: the long branch's traces are pinned byte for byte
+TRACE_DIGESTS = {
+    ("path", 4, "cover"): "61590e7e8bd5f873de6a5e7dc75caa2e29cb9d804c77125d1d55c2ef499f98e9",
+    ("path", 4, "partition"): "f94e67cfe9979c8e4bfbfc20a1dfa833520fef2cd573fdf657815f76cc0f9ec0",
+    ("path", 5, "cover"): "5e62dc11187138499d9afac7900f6b7f63fc7fad182639b853b740b7bd6c7ddc",
+    ("path", 5, "partition"): "1711ba3fbdf6866fc482f621a7c3b48522a11f59d278469ee8be91fccbc86c06",
+    ("cycle", 4, "cover"): "2818a275f63f73973430712e7f76d5ee3a48f91a11d22a3cab43a681ff2faf98",
+    ("cycle", 4, "partition"): "e89d6350ecfb6365e089efa28596d38f6081a6031e4e3a8506e45926c6198909",
+    ("cycle", 5, "cover"): "fb05f24c43c8025c12643e759a32521d9b3c0e792749199c333dabeafff2f80f",
+    ("cycle", 5, "partition"): "0f7306e5ffeda217add73ac64def7fc462ee29fb485eb6400031b3736e642bad",
+    ("broom", 4, "cover"): "3910adc9b0223bd4ed3c0a98e378c51a4fd5c5793ea761eadbc4c958fe07cf65",
+    ("broom", 4, "partition"): "8526ca75e8f1502fc1273ea9f5b5e88e5424eff46720348ae32ab3dd32bc1181",
+    ("broom", 5, "cover"): "6ead89ae728d33f8250e9266fcc83cb992050e52e0513c60908161773abfb328",
+    ("broom", 5, "partition"): "05e8832e9af1044170d202831e36c66575b92317c189bd42ac7b2e4639d01b66",
+}
+PINNED_GRAPHS = {"path": gen.path(400), "cycle": gen.cycle(380),
+                 "broom": broom(300, 4)}
+
+
+@pytest.mark.parametrize("name,n,mode", sorted(TRACE_DIGESTS))
+def test_long_branch_trace_digest(name, n, mode):
+    construct = {"cover": sp_cover_construct,
+                 "partition": sp_partition_construct}[mode]
+    t = construct(PINNED_GRAPHS[name], n)
+    assert t.intermediate["branch"] == "long"
+    digest = hashlib.sha256(t.to_json().encode()).hexdigest()
+    assert digest == TRACE_DIGESTS[name, n, mode]
 
 
 def test_mode_switch_calls_the_traced_bounded_routines(tracing):
@@ -370,14 +423,21 @@ def test_mode_switch_calls_the_traced_bounded_routines(tracing):
     assert metrics["constructive.insp_bounded.calls"] > 0
 
 
+def layered_state(edges, q_paths, k, order=None, nu=8):
+    """A hand-built long-branch state at n = 4 on `edges`: the given
+    Q-paths from root 0, their layer indices k (k[0] = 0) and
+    h0 = len(q_paths)."""
+    g = build_graph(order or 1 + max(max(e) for e in edges), edges)
+    return _LayeredState(g, 4, 0, distance_rings(g, 0), nu, k, q_paths,
+                         [mask_of(q) for q in q_paths], len(q_paths))
+
+
 def two_path_state(extra_edges, nu=8):
     """Q_1 = 0-1-2-3 and Q_2 = 0-4-5-6 from root 0, plus vertex 7 and
     `extra_edges` at it."""
-    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6),
-                        *extra_edges])
-    q_paths = [[0, 1, 2, 3], [0, 4, 5, 6]]
-    return _LayeredState(g, 4, 0, distance_rings(g, 0), nu, [0, 3, 3, 8],
-                         q_paths, [mask_of(q) for q in q_paths], 2)
+    return layered_state([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6),
+                          *extra_edges], [[0, 1, 2, 3], [0, 4, 5, 6]],
+                         [0, 3, 3, 8], order=8, nu=nu)
 
 
 def test_slices_on_a_hand_built_state():
@@ -415,3 +475,111 @@ def test_layered_construction_rejects_disconnected_input(construct):
               build_graph(5, [(a, b) for a in range(4) for b in range(a + 1, 4)])):
         with pytest.raises(Disconnected, match="^input must be connected$"):
             construct(g, 4)
+
+
+def test_q_claims_reject_a_path_longer_than_its_layer_index():
+    st = layered_state([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)],
+                       [[0, 1, 2, 3], [0, 4, 5, 6]], [0, 4, 3, 8])
+    with pytest.raises(InternalInvariantBroken,
+                       match="^Q-path length disagrees with its layer index$"):
+        _check_q_claims(st)
+
+
+def test_q_claims_reject_paths_sharing_a_non_root_vertex():
+    st = layered_state([(0, 1), (1, 2), (2, 3), (1, 5), (5, 6)],
+                       [[0, 1, 2, 3], [0, 1, 5, 6]], [0, 3, 3, 8])
+    with pytest.raises(InternalInvariantBroken,
+                       match="^Q-paths share a non-root vertex$"):
+        _check_q_claims(st)
+
+
+def test_q_claims_reject_an_edge_between_q_paths():
+    # Q_2's first vertex 4 lies next to the root, which Q_1 holds too
+    _check_q_claims(two_path_state([]))
+    st = two_path_state([(2, 5)])
+    with pytest.raises(InternalInvariantBroken,
+                       match="^edge between distinct Q-paths$"):
+        _check_q_claims(st)
+
+
+def test_q_claims_reject_more_than_n_minus_1_q_paths():
+    # four 3-edge legs from the root, at n = 4
+    legs = [[0, 3 * a + 1, 3 * a + 2, 3 * a + 3] for a in range(4)]
+    edges = [(q[i], q[i + 1]) for q in legs for i in range(3)]
+    st = layered_state(edges, legs, [0, 3, 3, 3, 3, 8])
+    with pytest.raises(InternalInvariantBroken,
+                       match="^number of Q-paths 4 exceeds 3$"):
+        _check_q_claims(st)
+
+
+@pytest.mark.parametrize("pinned", (True, False))
+def test_q_claims_check_the_pinned_neighbours(pinned):
+    # Q_1 = 0-1-...-10 checks layer 5 only, at n = 4; vertex 11 lies in
+    # layer 5, next to q[4] and, when pinned, to q[6] as well
+    edges = [(i, i + 1) for i in range(10)] + [(11, 4)]
+    if pinned:
+        edges.append((11, 6))
+    st = layered_state(edges, [list(range(11))], [0, 10, 8])
+    assert st.rings[5] == mask_of([5, 11])
+    if pinned:
+        _check_q_claims(st)
+        return
+    with pytest.raises(InternalInvariantBroken,
+                       match="^layer vertex near a Q-path misses its pinned neighbors$"):
+        _check_q_claims(st)
+
+
+def test_band_segments_reject_a_band_vertex_off_the_q_paths():
+    st = two_path_state([(7, 1)])
+    with pytest.raises(InternalInvariantBroken,
+                       match="^band layer leaves the Q-paths; path partition impossible$"):
+        _band_segments(st, 2, range(2, 3))
+
+
+def test_woven_paths_reject_an_empty_slice():
+    # layer 3 holds only 3, on Q_1, so Q_2's slice there is empty
+    st = layered_state([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)],
+                       [[0, 1, 2, 3], [0, 4, 5]], [0, 3, 2, 8])
+    assert _slices(st, 2, 3) == [[3], []]
+    with pytest.raises(InternalInvariantBroken,
+                       match="^empty slice inside a band layer$"):
+        _woven_paths(st, 2, range(3, 4))
+
+
+def test_layer_vertex_with_no_parent_is_rejected():
+    # rings that put 3 in layer 2, though 3 has no neighbour in layer 1
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    rings = (0b0001, 0b0010, 0b1000)
+    with pytest.raises(InternalInvariantBroken,
+                       match="^layer vertex with no parent$"):
+        _build_q_paths(g, 4, 0, rings, 8)
+    st = _LayeredState(g, 4, 0, rings, 8, [0, 2, 8], [], [], 0)
+    with pytest.raises(InternalInvariantBroken,
+                       match="^layer vertex with no parent$"):
+        _forest_blocks(st, 0, 2)
+
+
+@pytest.mark.parametrize("construct", (sp_cover_construct, sp_partition_construct))
+def test_long_branch_walks_each_q_path_neighbourhood_once(monkeypatch, construct):
+    # the Q-path search and the claim checks share N[Q_h - root], and
+    # every stage reads the one layering from the root
+    g = gen.cycle(380)
+    real_hood, real_rings = constructive._closed_neighbourhood, distance_rings
+    hoods, root_bfs = [], []
+
+    def counted_hood(h, mask):
+        hoods.append(mask)
+        return real_hood(h, mask)
+
+    def counted_rings(h, root):
+        if h is g:
+            root_bfs.append(root)
+        return real_rings(h, root)
+
+    monkeypatch.setattr(constructive, "_closed_neighbourhood", counted_hood)
+    monkeypatch.setattr(constructive, "distance_rings", counted_rings)
+    monkeypatch.setattr("coverlab.graph.distance_rings", counted_rings)
+    t = construct(g, 4)
+    assert t.intermediate["branch"] == "long"
+    assert len(hoods) == len(t.intermediate["q_paths"]) == 2
+    assert root_bfs == [0]
