@@ -113,6 +113,17 @@ def _minimal_dominating_subset(g: Graph, candidates: int, targets: int) -> int:
     return chosen
 
 
+def _least_neighbour_buckets(g: Graph, members: int, owners: int) -> dict[int, int]:
+    """Owner -> the mask of the members whose least-index neighbour in
+    `owners` it is, for every owner in ascending order, empty ones too;
+    `owners` must dominate `members`."""
+    buckets = dict.fromkeys(bits(owners), 0)
+    for v in bits(members):
+        up = g.adj[v] & owners
+        buckets[(up & -up).bit_length() - 1] |= 1 << v
+    return buckets
+
+
 def star_partition_neighborhood(g: Graph, x: int, X: Iterable[int], n: int,
                                 precheck: bool = True) -> ConstructionTrace:
     """Partition {x} ∪ X into induced stars, X inside the neighborhood of x.
@@ -146,18 +157,13 @@ def star_partition_neighborhood(g: Graph, x: int, X: Iterable[int], n: int,
             I = _minimal_dominating_subset(g, J, rest) if rest else 0
             star = 1 << apex | (J & ~I)
             stars.append(star)
-            assigned: dict[int, int] = {}
-            for y in bits(rest):
-                u = next(bits(g.adj[y] & I))
-                assigned[u] = assigned.get(u, 0) | 1 << y
-            for u in bits(I):
-                next_blocks.append((u, assigned.get(u, 0)))
+            next_blocks.extend(_least_neighbour_buckets(g, rest, I).items())
             stage_log.append({
                 "apex": apex,
-                "block": sorted(bits(Y)),
-                "independent": sorted(bits(J)),
-                "dominating": sorted(bits(I)),
-                "star": sorted(bits(star)),
+                "block": list(bits(Y)),
+                "independent": list(bits(J)),
+                "dominating": list(bits(I)),
+                "star": list(bits(star)),
             })
         stages.append(stage_log)
         blocks = next_blocks
@@ -189,13 +195,7 @@ def _dominator_buckets(h: Graph, n: int, precheck: bool,
         _check_free(h, (gen.complete(n), gen.s_star(n), third(n)))
     U = min_dominating_set(h)
     U_mask = mask_of(U)
-    buckets = {x: 0 for x in U}
-    for v in range(h.order):
-        if U_mask >> v & 1:
-            continue
-        x = next(bits(h.adj[v] & U_mask))
-        buckets[x] |= 1 << v
-    return U, buckets
+    return U, _least_neighbour_buckets(h, h.full_mask & ~U_mask, U_mask)
 
 
 def insc_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
@@ -266,18 +266,17 @@ class _LayeredState:
 
     def __init__(self, g: Graph, n: int, root: int, rings: tuple[int, ...],
                  nu: int, k: list[int], q_paths: list[list[int]],
-                 q_masks: list[int], h0: int = 0):
+                 q_masks: list[int]):
         self.g, self.n, self.root = g, n, root
         self.rings = rings      # rings[i] = mask of layer i, distance i from the root
         self.nu = nu            # ν = R(n-1, n) - 1, the slice-size bound
-        self.k = k              # k[h], 1-based, k[h0+1] = 2n
+        self.k = k              # k[h], 1-based, for each Q_h, then 2n
         self.q_paths = q_paths  # q_paths[h-1] = vertices of Q_h by layer
         self.q_masks = q_masks  # q_masks[h-1] = vertex mask of Q_h
         # q_near[h-1] = N[Q_h - root]: it leaves out the root's other
         # neighbours, on which the other Q-paths start
         off_root = ~(1 << root)
         self.q_near = [_closed_neighbourhood(g, m & off_root) for m in q_masks]
-        self.h0 = h0
 
 
 def _closed_neighbourhood(g: Graph, mask: int) -> int:
@@ -337,27 +336,26 @@ def _build_q_paths(g: Graph, n: int, root: int, rings: tuple[int, ...],
         else:
             break
     st.k.append(2 * n)
-    st.h0 = len(st.q_paths)
     return st
 
 
 def _check_q_claims(st: _LayeredState) -> None:
-    n, adj, rings = st.n, st.g.adj, st.rings
+    n, adj, rings, h0 = st.n, st.g.adj, st.rings, len(st.q_paths)
     # layer membership: Q_h hits each layer 0..k_h exactly once
     for h, q in enumerate(st.q_paths, start=1):
         if len(q) != st.k[h] + 1:
             raise InternalInvariantBroken("Q-path length disagrees with its layer index")
     # paths meet only at the root, with no cross edges off the root
     root_bit = 1 << st.root
-    for a in range(st.h0):
-        for b in range(a + 1, st.h0):
+    for a in range(h0):
+        for b in range(a + 1, h0):
             mb = st.q_masks[b] & ~root_bit
             if st.q_masks[a] & mb:
                 raise InternalInvariantBroken("Q-paths share a non-root vertex")
             if st.q_near[a] & mb:
                 raise InternalInvariantBroken("edge between distinct Q-paths")
-    if st.h0 > n - 1:
-        raise InternalInvariantBroken(f"number of Q-paths {st.h0} exceeds {n - 1}")
+    if h0 > n - 1:
+        raise InternalInvariantBroken(f"number of Q-paths {h0} exceeds {n - 1}")
     # a layer vertex on or next to Q is pinned to the adjacent layer
     # vertices of Q, for layers n+1 .. k_h - n - 1.  Q's vertex in layer
     # i is q[i], so only the vertices next to Q and off it are looked
@@ -385,7 +383,7 @@ def _check_q_claims(st: _LayeredState) -> None:
 def _index_sets(st: _LayeredState):
     """The band J_h of each stage h, the first layer m_h of its index set
     I_h, and the stages L whose band is non-empty."""
-    n, h0 = st.n, st.h0
+    n, h0 = st.n, len(st.q_paths)
     J = {h: range(st.k[h + 1] + 1, st.k[h] - n) for h in range(1, h0 + 1)}
     m = {h: st.k[h] - n for h in range(1, h0)}
     m[h0] = max(2 * n + 1, st.k[h0] - n)
@@ -396,26 +394,27 @@ def _index_sets(st: _LayeredState):
 
 
 def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
-    """Partition layer i among the first h Q-paths by adjacency."""
-    g = st.g
-    out: list[list[int]] = [[] for _ in range(h)]
-    for y in bits(st.rings[i]):
-        closed = g.adj[y] | 1 << y
-        hits = [l for l in range(h) if closed & st.q_masks[l]]
-        if not hits:
-            raise InternalInvariantBroken(
-                "band-layer vertex sees no earlier Q-path")
-        if len(hits) > 1:
+    """Partition layer i among the first h Q-paths by adjacency, each
+    slice in vertex order.  For i > 1 only (bands lie above layer 2n): no
+    vertex there sees the root, so Q_l's slice is rings[i] & q_near[l].
+    The least vertex seeing no Q-path or two decides the message."""
+    layer = st.rings[i]
+    masks = [layer & near for near in st.q_near[:h]]
+    seen = twice = 0
+    for m in masks:
+        twice |= seen & m
+        seen |= m
+    fault = (layer & ~seen) | twice
+    if fault:
+        if twice & fault & -fault:  # the least faulty vertex sees two
             raise InternalInvariantBroken(
                 "band-layer vertex sees two Q-paths; slices not disjoint")
-        out[hits[0]].append(y)
-    nu = st.nu
-    for l in range(h):
-        if len(out[l]) > nu:
-            raise InternalInvariantBroken("slice larger than the Ramsey bound")
-    if sum(len(s) for s in out) > h * nu:
+        raise InternalInvariantBroken("band-layer vertex sees no earlier Q-path")
+    if any(m.bit_count() > st.nu for m in masks):
+        raise InternalInvariantBroken("slice larger than the Ramsey bound")
+    if layer.bit_count() > h * st.nu:
         raise InternalInvariantBroken("layer larger than the Ramsey bound")
-    return out
+    return [list(bits(m)) for m in masks]
 
 
 def _woven_paths(st: _LayeredState, p: int, band: range) -> list[int]:

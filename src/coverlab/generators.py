@@ -133,79 +133,50 @@ def k_star(n: int) -> Graph:
 
 # -- chained extremal families -----------------------------------------
 #
-# Layout for H^(i)_{m,n}: the m paths Q_1..Q_m concatenated first
-# (u^(j)_i at index (i-1)*n + (j-1)), then the connector vertices in
-# definition order.
+# H^(1)..H^(5)_{m,n}: m n-vertex paths Q_1..Q_m joined in a chain.
+# Layout: the Q-paths first (u^(j)_i at (i-1)*n + (j-1)), then `width`
+# connectors per junction, the i-th junction's at m*n + (i-1)*width + j
+# for j = 0..width-1; each family gives a junction's edges as a function
+# of Q_i's end a, Q_{i+1}'s start b and the junction's connectors.
 
 
-def _q_paths(m: int, n: int) -> tuple[list[tuple[int, int]], "function"]:
-    u = lambda i, j: (i - 1) * n + (j - 1)
-    edges = []
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            edges.append((u(i, j), u(i, j + 1)))
-    return edges, u
-
-
-def _check_h_params(name: str, m: int, n: int) -> None:
+def _chained(family: int, m: int, n: int, width: int, junction) -> Graph:
     if m < 2 or n < 3:
-        raise BadParameter(f"{name}: m >= 2 and n >= 3 required")
+        raise BadParameter(f"h{family}: m >= 2 and n >= 3 required")
+    base = m * n
+    edges = [(v, v + 1) for v in range(base - 1) if (v + 1) % n]
+    for i in range(1, m):
+        c = base + (i - 1) * width
+        edges += junction(i * n - 1, i * n, range(c, c + width))
+    return build_graph(base + (m - 1) * width, edges, label=f"H{family}_{m},{n}")
 
 
 def h1(m: int, n: int) -> Graph:
-    """H^(1)_{m,n}: Q-paths, then v_1,w_1,...,v_{m-1},w_{m-1}."""
-    _check_h_params("h1", m, n)
-    edges, u = _q_paths(m, n)
-    base = m * n
-    for i in range(1, m):
-        v = base + 2 * (i - 1)
-        w = v + 1
-        edges += [(v, w), (v, u(i, n)), (v, u(i + 1, 1))]
-    return build_graph(m * n + 2 * (m - 1), edges, label=f"H1_{m},{n}")
+    """H^(1)_{m,n}: Q-paths, then v_1,w_1,...,v_{m-1},w_{m-1}; v_i is
+    joined to w_i and to the ends of the junction."""
+    return _chained(1, m, n, 2, lambda a, b, c: [(c[0], c[1]), (c[0], a), (c[0], b)])
 
 
 def h2(m: int, n: int) -> Graph:
     """H^(2)_{m,n}: Q-paths, then v_1..v_{m-1}; junctions are triangles."""
-    _check_h_params("h2", m, n)
-    edges, u = _q_paths(m, n)
-    base = m * n
-    for i in range(1, m):
-        v = base + (i - 1)
-        edges += [(v, u(i, n)), (v, u(i + 1, 1)), (u(i, n), u(i + 1, 1))]
-    return build_graph(m * n + (m - 1), edges, label=f"H2_{m},{n}")
+    return _chained(2, m, n, 1, lambda a, b, c: [(c[0], a), (c[0], b), (a, b)])
 
 
 def h3(m: int, n: int) -> Graph:
-    """H^(3)_{m,n}: Q-paths, then v_{i,j} at base + (i-1)*m + (j-1)."""
-    _check_h_params("h3", m, n)
-    edges, u = _q_paths(m, n)
-    base = m * n
-    for i in range(1, m):
-        for j in range(1, m + 1):
-            v = base + (i - 1) * m + (j - 1)
-            edges += [(v, u(i, n)), (v, u(i + 1, 1))]
-    return build_graph(m * n + (m - 1) * m, edges, label=f"H3_{m},{n}")
+    """H^(3)_{m,n}: Q-paths, then v_{i,j} at base + (i-1)*m + (j-1), each
+    joined to both ends of its junction."""
+    return _chained(3, m, n, m, lambda a, b, c: [(v, x) for v in c for x in (a, b)])
 
 
 def h4(m: int, n: int) -> Graph:
     """H^(4)_{m,n}: H^(3) keeping only v_{i,1},v_{i,2} (at base+2(i-1)+{0,1})."""
-    _check_h_params("h4", m, n)
-    edges, u = _q_paths(m, n)
-    base = m * n
-    for i in range(1, m):
-        for j in (0, 1):
-            v = base + 2 * (i - 1) + j
-            edges += [(v, u(i, n)), (v, u(i + 1, 1))]
-    return build_graph(m * n + 2 * (m - 1), edges, label=f"H4_{m},{n}")
+    return _chained(4, m, n, 2, lambda a, b, c: [(v, x) for v in c for x in (a, b)])
 
 
 def h5(m: int, n: int) -> Graph:
     """H^(5)_{m,n}: H^(4) plus the m-1 edges v_{i,1} v_{i,2}."""
-    _check_h_params("h5", m, n)
-    g = h4(m, n)
-    base = m * n
-    extra = [(base + 2 * (i - 1), base + 2 * (i - 1) + 1) for i in range(1, m)]
-    return build_graph(g.order, g.edges() + extra, label=f"H5_{m},{n}")
+    return _chained(5, m, n, 2, lambda a, b, c: [(c[0], c[1])]
+                    + [(v, x) for v in c for x in (a, b)])
 
 
 def complement(g: Graph) -> Graph:

@@ -143,7 +143,7 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
 
 
 def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:
-    return all(contains_induced(g, h) is None for h in family)
+    return freeness_witness(g, family) is None
 
 
 def freeness_witness(g: Graph, family: ForbiddenFamily) -> Optional[tuple[Graph, Embedding]]:

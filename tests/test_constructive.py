@@ -425,11 +425,10 @@ def test_mode_switch_calls_the_traced_bounded_routines(tracing):
 
 def layered_state(edges, q_paths, k, order=None, nu=8):
     """A hand-built long-branch state at n = 4 on `edges`: the given
-    Q-paths from root 0, their layer indices k (k[0] = 0) and
-    h0 = len(q_paths)."""
+    Q-paths from root 0 and their layer indices k (k[0] = 0)."""
     g = build_graph(order or 1 + max(max(e) for e in edges), edges)
     return _LayeredState(g, 4, 0, distance_rings(g, 0), nu, k, q_paths,
-                         [mask_of(q) for q in q_paths], len(q_paths))
+                         [mask_of(q) for q in q_paths])
 
 
 def two_path_state(extra_edges, nu=8):
@@ -465,6 +464,22 @@ def test_slices_reject_a_slice_larger_than_nu():
     st = two_path_state([(7, 1)], nu=1)
     with pytest.raises(InternalInvariantBroken,
                        match="^slice larger than the Ramsey bound$"):
+        _slices(st, 2, 2)
+
+
+@pytest.mark.parametrize("edges,layer,message", [
+    # 7 sees Q_1 and Q_2; 9, under the off-path vertex 8, sees neither
+    ([(7, 1), (7, 4), (8, 0), (9, 8)], [2, 5, 7, 9],
+     "^band-layer vertex sees two Q-paths; slices not disjoint$"),
+    # the reverse: 7, under the off-path vertex 9, sees neither; 8 sees both
+    ([(9, 0), (7, 9), (8, 1), (8, 4)], [2, 5, 7, 8],
+     "^band-layer vertex sees no earlier Q-path$"),
+], ids=["two-first", "none-first"])
+def test_slices_report_the_least_faulty_vertex(edges, layer, message):
+    st = layered_state([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), *edges],
+                       [[0, 1, 2, 3], [0, 4, 5, 6]], [0, 3, 3, 8])
+    assert st.rings[2] == mask_of(layer)
+    with pytest.raises(InternalInvariantBroken, match=message):
         _slices(st, 2, 2)
 
 
@@ -553,7 +568,7 @@ def test_layer_vertex_with_no_parent_is_rejected():
     with pytest.raises(InternalInvariantBroken,
                        match="^layer vertex with no parent$"):
         _build_q_paths(g, 4, 0, rings, 8)
-    st = _LayeredState(g, 4, 0, rings, 8, [0, 2, 8], [], [], 0)
+    st = _LayeredState(g, 4, 0, rings, 8, [0, 2, 8], [], [])
     with pytest.raises(InternalInvariantBroken,
                        match="^layer vertex with no parent$"):
         _forest_blocks(st, 0, 2)
@@ -583,3 +598,28 @@ def test_long_branch_walks_each_q_path_neighbourhood_once(monkeypatch, construct
     assert t.intermediate["branch"] == "long"
     assert len(hoods) == len(t.intermediate["q_paths"]) == 2
     assert root_bfs == [0]
+
+
+# sha256 of `to_json()` over the short cycles and brooms of the benchmark's
+# construct corpus, which take the small-diameter branch: the bounded
+# routines and the neighbourhood star partition on the whole graph
+SHORT_GRAPHS = ([gen.cycle(k) for k in (12, 19, 26, 33, 40)]
+                + [broom(h, b) for h, b in ((5, 3), (9, 5), (13, 7), (17, 9), (20, 4))])
+SHORT_DIGESTS = {
+    ("cover", 4): "0185e261d0369a7379585296456943bfc3ab10cd614c96c03dd49bf4c61d4aac",
+    ("cover", 5): "5d7104e6c0c358d25407ae382e2fa61f28a28bac54f9af90496d3e950be2d52e",
+    ("partition", 4): "67f9aee9830a7f3a10b4d7770cb7db39cc9481b8df087bf5f1d31cdb804835d8",
+    ("partition", 5): "b13809970cef14a6b9ef1ed731b25fe23c972c36f78b4bc0ea8e809674a86a05",
+}
+
+
+@pytest.mark.parametrize("mode,n", sorted(SHORT_DIGESTS))
+def test_small_diameter_trace_digest(mode, n):
+    construct = {"cover": sp_cover_construct,
+                 "partition": sp_partition_construct}[mode]
+    h = hashlib.sha256()
+    for g in SHORT_GRAPHS:
+        t = construct(g, n)
+        assert t.intermediate["branch"] == "small_diameter"
+        h.update(t.to_json().encode())
+    assert h.hexdigest() == SHORT_DIGESTS[mode, n]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -124,3 +125,28 @@ def test_generate_parsing():
         gen.generate("h1:4")
     with pytest.raises(ParseError):
         gen.generate("path:x")
+
+
+# sha256 over (order, adj, label) of H^(k)_{m,n} for m in 2..6, n in 3..7
+H_DIGESTS = {
+    "h1": "895bce021d449d8cffb137decd4ad7f4a98a392d14ea03d318371d1dcaa380bd",
+    "h2": "054df1d380410d189919ff7d6ddf7aba251f98e2f2ccf35d5d6b91b9846f3c69",
+    "h3": "4f1098e18e05a4101f4b4d5bbd8253a39327c96f9ef33122161b7ac1dbd62c1c",
+    "h4": "e2ebb486a6f17bc0ee543fdd9e5285946e1946dceed7ec3e6e92b058ca315854",
+    "h5": "9a32d489a15962cf17458a166028caa089faa644dcd31a5043c42069a93e2f6d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(H_DIGESTS))
+def test_chained_family_layout_digest(name):
+    build = getattr(gen, name)
+    h = hashlib.sha256()
+    for m in range(2, 7):
+        for n in range(3, 8):
+            g = build(m, n)
+            h.update(repr((g.order, g.adj, g.label)).encode())
+    assert h.hexdigest() == H_DIGESTS[name]
+    for m, n in ((1, 3), (2, 2)):
+        with pytest.raises(BadParameter) as exc:
+            build(m, n)
+        assert str(exc.value) == f"{name}: m >= 2 and n >= 3 required"
