@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -39,9 +40,22 @@ class BoundValue(NamedTuple):
     witness: Optional[dict] = None
 
     def __str__(self):
-        v = "<not materialized>" if self.value is None else str(self.value)
+        v = "<not materialized>" if self.value is None else _decimal(self.value)
         suffix = f" ({self.note})" if self.note else ""
         return f"{v} [{self.status.value}]{suffix}"
+
+
+def _decimal(value: int) -> str:
+    """value in full: Python's int-to-text digit limit is lifted for this
+    one conversion (3.10.0-3.10.6 have neither the limit nor its setter)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # Published exact Ramsey values (small-case table); key (s,t) with s <= t.
@@ -338,9 +352,9 @@ def paper_constants(n: int, max_digits: int = 100_000,
                     c_chi: Optional[int] = None) -> dict:
     """All derived constants at parameter n.
 
-    c_1 and c_inspc are symbolic in c_chi(n) unless c_chi is supplied;
-    components whose digit count exceeds max_digits are flagged rather
-    than materialized.
+    c_1 and c_inspc are symbolic in c_chi(n) unless c_chi is supplied.
+    xi, each alpha and all built on them are flagged, not materialized,
+    past 4 * max_digits bits; xi is not computed if nu^(n-3) is past it.
     """
     if n < 4:
         raise ValueError("n >= 4 required")
@@ -349,7 +363,10 @@ def paper_constants(n: int, max_digits: int = 100_000,
     if c_chi is not None and c_chi < 0:
         raise ValueError(f"c_chi >= 0 required, got {c_chi}")
     nu = nu_value(n)
-    xi = xi_value(n, n - 2)
+    xi = BoundValue(None, Status.UPPER_BOUND_ONLY, note=f"exceeds {max_digits}-digit budget")
+    if (n - 3) * (nu.value.bit_length() - 1) < max_digits * 4:  # nu^(n-3) <= xi
+        if (exact := xi_value(n, n - 2)).value.bit_length() <= max_digits * 4:
+            xi = exact
     small, large = n * n - 1, n * n + 2 * n - 1
     rnn = ramsey(n, n)
     chain = _alpha_chain(n, large, max_digits)  # dom_small sums a prefix of it

@@ -258,25 +258,20 @@ def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
 # vertex costs a few mask operations wherever it is looked at.
 
 
-class _LayeredState:
-    """Shared, mutable state of the long-branch construction.
+class _LayeredState(NamedTuple):
+    """State of the long-branch construction, built once by `_build_q_paths`."""
 
-    `q_near` is built here from `q_masks`, and grows with each Q-path
-    that `_build_q_paths` adds."""
-
-    def __init__(self, g: Graph, n: int, root: int, rings: tuple[int, ...],
-                 nu: int, k: list[int], q_paths: list[list[int]],
-                 q_masks: list[int]):
-        self.g, self.n, self.root = g, n, root
-        self.rings = rings      # rings[i] = mask of layer i, distance i from the root
-        self.nu = nu            # ν = R(n-1, n) - 1, the slice-size bound
-        self.k = k              # k[h], 1-based, for each Q_h, then 2n
-        self.q_paths = q_paths  # q_paths[h-1] = vertices of Q_h by layer
-        self.q_masks = q_masks  # q_masks[h-1] = vertex mask of Q_h
-        # q_near[h-1] = N[Q_h - root]: it leaves out the root's other
-        # neighbours, on which the other Q-paths start
-        off_root = ~(1 << root)
-        self.q_near = [_closed_neighbourhood(g, m & off_root) for m in q_masks]
+    g: Graph
+    n: int
+    root: int
+    rings: tuple[int, ...]    # rings[i] = mask of layer i, distance i from the root
+    nu: int                   # ν = R(n-1, n) - 1, the slice-size bound
+    k: list[int]              # k[h], 1-based, for each Q_h, then 2n
+    q_paths: list[list[int]]  # q_paths[h-1] = vertices of Q_h by layer
+    q_masks: list[int]        # q_masks[h-1] = vertex mask of Q_h
+    # q_near[h-1] = N[Q_h - root]: it leaves out the root's other
+    # neighbours, on which the other Q-paths start
+    q_near: list[int]
 
 
 def _closed_neighbourhood(g: Graph, mask: int) -> int:
@@ -298,7 +293,7 @@ def _parent(g: Graph, rings: Sequence[int], x: int, i: int) -> int:
 
 def _build_q_paths(g: Graph, n: int, root: int, rings: tuple[int, ...],
                    nu: int) -> _LayeredState:
-    st = _LayeredState(g, n, root, rings, nu, [0], [], [])
+    k, q_paths, q_masks, q_near = [0], [], [], []
     adj, off_root = g.adj, ~(1 << root)
 
     def add(k_h: int, w: int) -> int:
@@ -314,20 +309,20 @@ def _build_q_paths(g: Graph, n: int, root: int, rings: tuple[int, ...],
             q.append(x)
             q_mask |= low
         q.reverse()
-        st.k.append(k_h)
-        st.q_paths.append(q)
-        st.q_masks.append(q_mask)
-        st.q_near.append(_closed_neighbourhood(g, q_mask & off_root))
-        return st.q_near[-1]
+        k.append(k_h)
+        q_paths.append(q)
+        q_masks.append(q_mask)
+        q_near.append(_closed_neighbourhood(g, q_mask & off_root))
+        return q_near[-1]
 
     # Q_1: least-index vertex of the deepest layer
     depth = len(rings) - 1
     deepest = rings[depth]
     # N[Q_1 ∪ ... ∪ Q_h] on the layers the search looks at, all past layer 2n
     near = add(depth, (deepest & -deepest).bit_length() - 1)
-    while st.k[-1] >= 3 * n + 2:
+    while k[-1] >= 3 * n + 2:
         far = ~near
-        for i in range(st.k[-1] - n - 1, 2 * n, -1):
+        for i in range(k[-1] - n - 1, 2 * n, -1):
             # the least layer vertex neither on nor next to a Q-path
             cand = rings[i] & far
             if cand:
@@ -335,8 +330,8 @@ def _build_q_paths(g: Graph, n: int, root: int, rings: tuple[int, ...],
                 break
         else:
             break
-    st.k.append(2 * n)
-    return st
+    k.append(2 * n)
+    return _LayeredState(g, n, root, rings, nu, k, q_paths, q_masks, q_near)
 
 
 def _check_q_claims(st: _LayeredState) -> None:
@@ -380,17 +375,20 @@ def _check_q_claims(st: _LayeredState) -> None:
                     "layer vertex near a Q-path misses its pinned neighbors")
 
 
-def _index_sets(st: _LayeredState):
-    """The band J_h of each stage h, the first layer m_h of its index set
-    I_h, and the stages L whose band is non-empty."""
-    n, h0 = st.n, len(st.q_paths)
-    J = {h: range(st.k[h + 1] + 1, st.k[h] - n) for h in range(1, h0 + 1)}
-    m = {h: st.k[h] - n for h in range(1, h0)}
-    m[h0] = max(2 * n + 1, st.k[h0] - n)
-    L = [h for h in range(1, h0 + 1) if len(J[h]) > 0]
-    if not L:
+def _stages(st: _LayeredState) -> tuple[list[tuple[int, range, int, int]], int]:
+    """(p, J'_p, lo, hi) for each stage p whose band J_p, layers k[p+1]+1
+    .. lo = k[p]-n-1, is not empty, and root_hi, k[p+1] of the last: J'_p
+    is J_p less lo, and p's star block runs from lo to hi, k[1] for the
+    first stage and k[p'+1] after stage p'.  Needs k[h0+1] = 2n."""
+    n, k, stages, hi = st.n, st.k, [], st.k[1]
+    for p in range(1, len(st.q_paths) + 1):
+        lo = k[p] - n - 1
+        if lo > k[p + 1]:
+            stages.append((p, range(k[p + 1] + 1, lo), lo, hi))
+            hi = k[p + 1]
+    if not stages:
         raise InternalInvariantBroken("no non-trivial layer band in the long branch")
-    return J, m, L
+    return stages, hi
 
 
 def _slices(st: _LayeredState, h: int, i: int) -> list[list[int]]:
@@ -521,36 +519,32 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
 
     st = _build_q_paths(g, n, root, rings, nu_value(n).value)
     _check_q_claims(st)
-    J, m, L = _index_sets(st)
+    stages, root_hi = _stages(st)
     pieces: list[int] = []
     band_logs = []
-    for p in L:
-        band = range(J[p].start, J[p].stop - 1)  # J'_p: drop the top band layer
+    for p, band, _, _ in stages:
         got = band_pieces(st, p, band) if band else []
         pieces.extend(got)
         band_logs.append({"stage": p, "layers": [band.start, band.stop - 1],
                           "paths": len(got)})
     block_logs = []
-    for idx, p in enumerate(L):
-        lo = m[p] - 1
-        hi = st.k[L[idx - 1] + 1] if idx > 0 else st.k[1]
+    for block, (_, _, lo, hi) in enumerate(stages, start=1):
         stars = _star_blocks(st, lo, hi, bounded, n * n - 1, (n - 1) * st.nu)
         pieces.extend(stars)
-        block_logs.append({"block": idx + 1, "layers": [lo, hi],
+        block_logs.append({"block": block, "layers": [lo, hi],
                            "stars": len(stars)})
-    lo, hi = 0, st.k[L[-1] + 1]
-    if hi > n * n + 2 * n - 1:
+    if root_hi > n * n + 2 * n - 1:
         raise InternalInvariantBroken("root block deeper than the diameter bound")
-    stars = _star_blocks(st, lo, hi, bounded, n * n + 2 * n - 1, None)
+    stars = _star_blocks(st, 0, root_hi, bounded, n * n + 2 * n - 1, None)
     pieces.extend(stars)
-    block_logs.append({"block": "root", "layers": [lo, hi], "stars": len(stars)})
+    block_logs.append({"block": "root", "layers": [0, root_hi], "stars": len(stars)})
 
     intermediate = {
         "branch": "long",
         "depth": d,
         "k": st.k[1:],
         "q_paths": [list(q) for q in st.q_paths],
-        "stages_with_band": list(L),
+        "stages_with_band": [p for p, *_ in stages],
         "bands": band_logs,
         "blocks": block_logs,
     }

@@ -179,13 +179,6 @@ def h5(m: int, n: int) -> Graph:
                     + [(v, x) for v in c for x in (a, b)])
 
 
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    rows = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.order))
-    return Graph(g.order, rows,
-                 label=None if g.label is None else f"co-{g.label}")
-
-
 def random_connected(order: int, p: float, rng: random.Random) -> Graph:
     """A connected G(order, p) sample (rejection sampling).
 

@@ -190,11 +190,6 @@ def distance_rings(g: Graph, root: int) -> tuple[int, ...]:
         seen |= ring
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Maximal connected vertex sets, each sorted, ordered by minimum."""
-    return [list(bits(comp)) for comp in g.components]
-
-
 def is_connected(g: Graph) -> bool:
     return g.order <= 1 or sum(distance_rings(g, 0)) == g.full_mask
 

@@ -104,7 +104,7 @@ def _independent_subsets(g: Graph, within: int, size: int) -> list[int]:
     return out
 
 
-def _independence_number(g: Graph, within: int, floor: int = 0) -> int:
+def _independence_number(g: Graph, within: int, floor: int) -> int:
     """The independence number of g[within], or `floor` if that is more.
 
     Branch and bound on an explicit stack.  A vertex with at most one

@@ -171,6 +171,9 @@ def _ref_paper_constants(n, max_digits=100_000, c_chi=None):
     r = B.ramsey(n - 1, n)
     nu = B.BoundValue(r.value - 1, r.status)
     xi = B.xi_value(n, n - 2)
+    if xi.value.bit_length() > max_digits * 4:
+        xi = B.BoundValue(None, B.Status.UPPER_BOUND_ONLY,
+                          note=f"exceeds {max_digits}-digit budget")
     dom_small = _ref_dominating_set_bound(n, n * n - 1, max_digits)
     dom_large = _ref_dominating_set_bound(n, n * n + 2 * n - 1, max_digits)
 

@@ -4,9 +4,11 @@ import io
 import json
 import multiprocessing
 import os
+import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -333,6 +335,35 @@ def test_bounds_command(capsys):
     assert code == 0 and "= 9" in out
     code, out, _ = run(capsys, "bounds", "constants", "4")
     assert code == 0 and "xi = 9" in out
+
+
+@pytest.mark.parametrize("n", ["4", "5"])
+def test_bounds_constants_match_the_benchmark_pins(capsys, n):
+    pins = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pins"
+    want = json.loads((pins / "verify.json").read_text())["constants"][n]
+    assert run(capsys, "bounds", "constants", n) == (0, "\n".join(want) + "\n", "")
+
+
+def test_bounds_constants_print_xi_past_the_int_to_text_limit(capsys):
+    # xi_90 has 4,530 digits, more than Python's default limit of 4,300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, _ = run(capsys, "bounds", "constants", "90")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    digits, status = dict(line.split(" = ", 1) for line in out.splitlines())["xi"].split()
+    value = bounds.xi_value(90, 88).value
+    assert code == 0 and status == "[upper_bound_only]" and len(digits) == 4530
+    assert digits[:50] == str(value // 10 ** 4480)
+    assert digits[-50:] == str(value % 10 ** 50).zfill(50)
+    code, out, _ = run(capsys, "bounds", "constants", "90", "--max-digits", "1000")
+    assert code == 0 and "xi = <not materialized> [upper_bound_only] " \
+        "(exceeds 1000-digit budget)\n" in out
+
+
+def test_bounds_constants_skip_an_xi_far_over_budget(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "bounds", "constants", "3000")
+    assert code == 0 and time.monotonic() - start < 1
+    assert "xi = <not materialized>" in out
 
 
 def test_verify_suites_small(capsys):

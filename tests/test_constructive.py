@@ -8,8 +8,9 @@ import coverlab.cli  # noqa: F401  -- loads every module a tracer wraps
 from coverlab import constructive, generators as gen
 from coverlab.bounds import BoundValue, Status, nu_value
 from coverlab.constructive import (_LayeredState, _band_segments,
-                                   _build_q_paths, _check_q_claims, _finish,
-                                   _forest_blocks, _index_sets, _slices,
+                                   _build_q_paths, _check_q_claims,
+                                   _closed_neighbourhood, _finish,
+                                   _forest_blocks, _slices, _stages,
                                    _woven_paths,
                                    cover_to_path_cover, cover_to_star_cover,
                                    insc_bounded, insp_bounded,
@@ -326,6 +327,24 @@ def ref_forest_blocks(st, lo, hi):
     return sorted(comps.items())
 
 
+def ref_stages(st):
+    """The stages as the paper states them: the band J_h of each stage
+    h, the first layer m_h of its index set I_h, and the stages L whose
+    band is not empty.  Each p of L gives (p, J_p less its top layer,
+    m_p - 1, the top layer of p's star block), and the root block ends
+    at k[p+1] of the last p."""
+    n, h0, k = st.n, len(st.q_paths), st.k
+    J = {h: range(k[h + 1] + 1, k[h] - n) for h in range(1, h0 + 1)}
+    m = {h: k[h] - n for h in range(1, h0)}
+    m[h0] = max(2 * n + 1, k[h0] - n)
+    L = [h for h in range(1, h0 + 1) if len(J[h]) > 0]
+    if not L:
+        raise InternalInvariantBroken("no non-trivial layer band in the long branch")
+    stages = [(p, range(J[p].start, J[p].stop - 1), m[p] - 1,
+               k[L[idx - 1] + 1] if idx else k[1]) for idx, p in enumerate(L)]
+    return stages, k[L[-1] + 1]
+
+
 def path_blowup(widths):
     """Layer i is an independent set of widths[i] vertices, joined
     completely to the layers next to it."""
@@ -360,9 +379,9 @@ def test_layered_helpers_match_reference(name, g, n):
         assert q == ref_least_index_path(g, rings, q[-1])
         assert q_mask == mask_of(q)
     _check_q_claims(st)
-    J, m, L = _index_sets(st)
-    for p in L:
-        band = range(J[p].start, J[p].stop - 1)
+    stages, root_hi = _stages(st)
+    assert (stages, root_hi) == ref_stages(st)
+    for p, band, _, _ in stages:
         for i in band:
             assert _slices(st, p, i) == ref_slices(st, p, i)
         if band:
@@ -373,11 +392,39 @@ def test_layered_helpers_match_reference(name, g, n):
             else:  # a blow-up's wide layers leave the Q-paths
                 with pytest.raises(InternalInvariantBroken, match="^band layer leaves"):
                     _band_segments(st, p, band)
-    blocks = [(m[p] - 1, st.k[L[idx - 1] + 1] if idx else st.k[1])
-              for idx, p in enumerate(L)]
-    blocks.append((0, st.k[L[-1] + 1]))
-    for lo, hi in blocks:
+    for lo, hi in [(lo, hi) for _, _, lo, hi in stages] + [(0, root_hi)]:
         assert _forest_blocks(st, lo, hi) == ref_forest_blocks(st, lo, hi)
+
+
+def fuzz_layer_indices(rng, n, h0):
+    """k[0..h0+1] with k[h0+1] = 2n and each k[h+1] in (2n, k[h]-n-1],
+    built upwards: k[h] is k[h+1] + n + 1 (an empty band J_h) plus 0..3.
+    About a third have an empty last band, k[h0] <= 3n + 1."""
+    k = [2 * n, rng.randint(2 * n + 1, 3 * n + 1) if rng.random() < 1 / 3
+         else rng.randint(3 * n + 2, 4 * n + 4)]
+    for _ in range(h0 - 1):
+        k.append(k[-1] + n + 1 + rng.randint(0, 3))
+    return [0] + k[::-1]
+
+
+def test_stages_match_the_paper_on_hand_built_layer_indices():
+    # `_stages` reads only n, k and the number of Q-paths
+    rng, outcomes = random.Random(2028), {"equal": 0, "raised": 0}
+    for case in range(2000):
+        n = 4 + case % 2
+        h0 = rng.randint(1, n - 1)
+        st = _LayeredState(None, n, 0, (), 0, fuzz_layer_indices(rng, n, h0),
+                           [[]] * h0, [], [])
+        try:
+            want = ref_stages(st)
+        except InternalInvariantBroken as exc:
+            with pytest.raises(InternalInvariantBroken, match=f"^{exc}$"):
+                _stages(st)
+            outcomes["raised"] += 1
+            continue
+        assert _stages(st) == want, st.k
+        outcomes["equal"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # sha256 of `to_json()`: the long branch's traces are pinned byte for byte
@@ -427,8 +474,10 @@ def layered_state(edges, q_paths, k, order=None, nu=8):
     """A hand-built long-branch state at n = 4 on `edges`: the given
     Q-paths from root 0 and their layer indices k (k[0] = 0)."""
     g = build_graph(order or 1 + max(max(e) for e in edges), edges)
+    q_masks = [mask_of(q) for q in q_paths]
+    q_near = [_closed_neighbourhood(g, m & ~1) for m in q_masks]  # N[Q_h - 0]
     return _LayeredState(g, 4, 0, distance_rings(g, 0), nu, k, q_paths,
-                         [mask_of(q) for q in q_paths])
+                         q_masks, q_near)
 
 
 def two_path_state(extra_edges, nu=8):
@@ -568,7 +617,7 @@ def test_layer_vertex_with_no_parent_is_rejected():
     with pytest.raises(InternalInvariantBroken,
                        match="^layer vertex with no parent$"):
         _build_q_paths(g, 4, 0, rings, 8)
-    st = _LayeredState(g, 4, 0, rings, 8, [0, 2, 8], [], [])
+    st = _LayeredState(g, 4, 0, rings, 8, [0, 2, 8], [], [], [])
     with pytest.raises(InternalInvariantBroken,
                        match="^layer vertex with no parent$"):
         _forest_blocks(st, 0, 2)

@@ -88,12 +88,6 @@ def test_parameter_validation():
         gen.h1(2, 2)
 
 
-def test_complement_involution():
-    g = gen.cycle(5)
-    assert gen.complement(gen.complement(g)).adj == g.adj
-    assert gen.complement(gen.complete(4)).edge_count() == 0
-
-
 def test_random_connected_is_connected_and_deterministic():
     a = gen.random_connected(9, 0.3, random.Random(7))
     b = gen.random_connected(9, 0.3, random.Random(7))

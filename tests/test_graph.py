@@ -3,8 +3,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coverlab.errors import EmptyPiece, IndexOutOfRange, SelfLoop
 from coverlab.graph import (Graph, PieceKind, bits, build_graph,
-                            connected_components, distance_rings, is_connected,
-                            is_independent, mask_of, piece_shape_mask)
+                            distance_rings, is_connected, is_independent,
+                            mask_of, piece_shape_mask)
 from coverlab.graph import _path_order, _star_center
 from coverlab import generators as gen
 
@@ -64,7 +64,7 @@ def test_bfs_layering_and_distances():
 
 def test_disconnected_metrics():
     g = build_graph(4, [(0, 1), (2, 3)])
-    assert connected_components(g) == [[0, 1], [2, 3]]
+    assert g.components == (mask_of([0, 1]), mask_of([2, 3]))
     assert not is_connected(g)
     assert is_connected(gen.cycle(4))
 
@@ -160,7 +160,8 @@ def to_networkx(nx, g):
 def test_diameter_and_components_match_networkx(g):
     nx = pytest.importorskip("networkx")
     h = to_networkx(nx, g)
-    assert connected_components(g) == sorted(sorted(c) for c in nx.connected_components(h))
+    assert g.components == tuple(
+        mask_of(c) for c in sorted(nx.connected_components(h), key=min))
     if g.order:
         # the isometric partition's largest piece: a longest geodesic
         assert max(len(r) for r in g.rings) - 1 == 1 + max(

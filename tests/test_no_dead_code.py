@@ -1,34 +1,45 @@
-"""Every module-level private function, class or assigned name in
-`src/coverlab` is read somewhere in the package outside its own
-definition: by name in its own module, or from another module as an
-attribute or a `from` import."""
+"""Every module-level name in `src/coverlab` is read somewhere.
+
+A private function, class or assigned name must be read in the package
+outside its own definition: by name in its own module, or from another
+module as an attribute or a `from` import.  A public function or class
+must be read the same way, or be named by a benchmark script, or be
+exported by `coverlab.__all__`."""
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "coverlab"
+import coverlab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coverlab"
 
 # read only through getattr(cli, f"_suite_{suite}") by perfbench/pin.py
 ALLOWED = {"cli._suite_lemma41", "cli._suite_lemma42", "cli._suite_theorems"}
+# library API that README.md documents and nothing in the package calls
+PUBLIC_ALLOWED = {"bounds.alpha_value", "bounds.dominating_set_bound",
+                  "iso.is_family_free"}
 
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _defined(tree: ast.Module):
+def _defined(tree: ast.Module, public: bool):
     """(name, node) for each module-level private def, class or name
-    bound by an assignment."""
+    bound by an assignment; with `public`, each public def or class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not public:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [n.id for t in targets for n in ast.walk(t)
                      if isinstance(n, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names if _private(name))
+        yield from ((name, node) for name in names
+                    if (not name.startswith("_") if public else _private(name)))
 
 
 def _reads(tree: ast.Module):
@@ -43,18 +54,15 @@ def _reads(tree: ast.Module):
             yield node.name, node, False
 
 
-def unread_private_names(modules: dict[str, str]) -> list[str]:
-    """`module.name` for each private module-level name of `modules`
-    (module name -> source) that no code in them reads."""
+def _unread(modules: dict[str, str], public: bool) -> list[str]:
     trees = {mod: ast.parse(src) for mod, src in modules.items()}
     reads: dict[str, list] = {}
     for mod, tree in trees.items():
         for name, node, by_name in _reads(tree):
-            if _private(name):
-                reads.setdefault(name, []).append((mod, id(node), by_name))
+            reads.setdefault(name, []).append((mod, id(node), by_name))
     out = []
     for mod, tree in trees.items():
-        for name, definition in _defined(tree):
+        for name, definition in _defined(tree, public):
             inside = {id(n) for n in ast.walk(definition)}
             if not any(node not in inside and (other == mod or not by_name)
                        for other, node, by_name in reads.get(name, ())):
@@ -62,10 +70,39 @@ def unread_private_names(modules: dict[str, str]) -> list[str]:
     return out
 
 
-def test_every_private_name_is_read():
+def unread_private_names(modules: dict[str, str]) -> list[str]:
+    """`module.name` for each private module-level name of `modules`
+    (module name -> source) that no code in them reads."""
+    return _unread(modules, public=False)
+
+
+def unread_public_names(modules: dict[str, str], elsewhere: str,
+                        exported: set[str]) -> list[str]:
+    """`module.name` for each public module-level def or class of
+    `modules` that no code in them reads, no whole word of `elsewhere`
+    names and `exported` does not hold."""
+    kept = set(re.findall(r"\w+", elsewhere)) | exported
+    return [q for q in _unread(modules, public=True)
+            if q.split(".", 1)[1] not in kept]
+
+
+def _package():
     modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert len(modules) >= 12
-    assert sorted(unread_private_names(modules)) == sorted(ALLOWED)
+    return modules
+
+
+def test_every_private_name_is_read():
+    assert sorted(unread_private_names(_package())) == sorted(ALLOWED)
+
+
+def test_every_public_name_is_read_named_or_exported():
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    unread = unread_public_names(_package(), bench, set(coverlab.__all__))
+    assert sorted(unread) == sorted(PUBLIC_ALLOWED)
+    readme = (ROOT / "README.md").read_text()
+    for qualified in PUBLIC_ALLOWED:
+        assert re.search(rf"\b{qualified.split('.')[1]}\b", readme), qualified
 
 
 def test_guard_sees_unread_private_names():
@@ -82,3 +119,24 @@ def test_guard_sees_unread_private_names():
              "def _used(): pass\n",
     }
     assert unread_private_names(modules) == ["a._unused", "a._Y", "b._W", "b._used"]
+
+
+def test_guard_sees_unread_public_names():
+    modules = {
+        "a": "def used(): pass\n"
+             "def unused(): return unused()\n"
+             "class Imported: pass\n"
+             "def bench(): pass\n"
+             "def benched(): pass\n"
+             "def exported(): pass\n"
+             "UNCHECKED = 1\n"
+             "used()\n",
+        "b": "from .a import Imported\n"
+             "from . import a\n"
+             "def attribute(): pass\n"
+             "def used(): pass\n"
+             "a.attribute()\n",
+    }
+    elsewhere = "run(benched_twice); run(a.benched)\n"
+    assert unread_public_names(modules, elsewhere, {"exported"}) == [
+        "a.unused", "a.bench", "b.used"]

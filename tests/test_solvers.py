@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 import coverlab
 from coverlab import cli, formats, generators as gen, graph, naive, solvers
 from coverlab.errors import Disconnected, EmptyPiece
-from coverlab.graph import (Graph, PieceKind, bits, build_graph, connected_components,
-                            is_connected, is_independent, mask_of, piece_shape_mask)
+from coverlab.graph import (Graph, PieceKind, bits, build_graph, is_connected,
+                            is_independent, mask_of, piece_shape_mask)
 from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
                               chromatic_coloring, chromatic_number,
                               clique_number, enumerate_maximal_pieces,
@@ -704,7 +704,7 @@ def test_invariants_validate_and_order(g):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(small_graphs(max_order=8))
 def test_invariants_add_over_components(g):
-    parts = [g.subgraph(comp) for comp in connected_components(g)]
+    parts = [g.subgraph(list(bits(comp))) for comp in g.components]
     for name in INVARIANT_SPECS:
         assert invariant_value(g, name).value == sum(
             invariant_value(h, name).value for h in parts), name
