@@ -37,7 +37,6 @@ class BoundValue(NamedTuple):
     value: Optional[int]
     status: Status
     note: str = ""
-    witness: Optional[dict] = None
 
     def __str__(self):
         v = "<not materialized>" if self.value is None else _decimal(self.value)
@@ -232,8 +231,7 @@ def ramsey(s: int, t: int, max_search_order: int = 6) -> BoundValue:
                               f'refuted: the search to order {max_search_order} '
                               f'found {found}')
         _search_cache[(s, t)] = value
-    v = _search_cache[(s, t)]
-    return BoundValue(v, Status.EXACT, witness={"method": "exhaustive", "order": v})
+    return BoundValue(_search_cache[(s, t)], Status.EXACT)
 
 
 # -- derived quantities ------------------------------------------------
@@ -336,7 +334,6 @@ class SymbolicConstant(NamedTuple):
 
     constant_term: BoundValue
     coefficient: BoundValue
-    symbol: str = "c_chi"
 
     def evaluate(self, c_chi: int) -> BoundValue:
         # an externally supplied c_chi is only an upper bound
@@ -345,7 +342,7 @@ class SymbolicConstant(NamedTuple):
                         note="c_chi supplied externally")
 
     def __str__(self):
-        return f"{self.constant_term} + {self.coefficient} * {self.symbol}"
+        return f"{self.constant_term} + {self.coefficient} * c_chi"
 
 
 def paper_constants(n: int, max_digits: int = 100_000,
@@ -353,8 +350,9 @@ def paper_constants(n: int, max_digits: int = 100_000,
     """All derived constants at parameter n.
 
     c_1 and c_inspc are symbolic in c_chi(n) unless c_chi is supplied.
-    xi, each alpha and all built on them are flagged, not materialized,
-    past 4 * max_digits bits; xi is not computed if nu^(n-3) is past it.
+    nu, xi, the lead term (n-1)^2 * nu, each alpha and all built on them
+    are flagged, not materialized, past 4 * max_digits bits; xi is not
+    computed if nu^(n-3) is past it.
     """
     if n < 4:
         raise ValueError("n >= 4 required")
@@ -362,11 +360,15 @@ def paper_constants(n: int, max_digits: int = 100_000,
         raise ValueError(f"max_digits >= 1 required, got {max_digits}")
     if c_chi is not None and c_chi < 0:
         raise ValueError(f"c_chi >= 0 required, got {c_chi}")
-    nu = nu_value(n)
-    xi = BoundValue(None, Status.UPPER_BOUND_ONLY, note=f"exceeds {max_digits}-digit budget")
-    if (n - 3) * (nu.value.bit_length() - 1) < max_digits * 4:  # nu^(n-3) <= xi
-        if (exact := xi_value(n, n - 2)).value.bit_length() <= max_digits * 4:
+    bits = max_digits * 4
+    over = BoundValue(None, Status.UPPER_BOUND_ONLY, note=f"exceeds {max_digits}-digit budget")
+    nu, xi = nu_value(n), over
+    if (n - 3) * (nu.value.bit_length() - 1) < bits:  # nu^(n-3) <= xi
+        if (exact := xi_value(n, n - 2)).value.bit_length() <= bits:
             xi = exact
+    # xi and the lead term are at least nu, so both are flagged when nu is
+    lead = BoundValue((n - 1) ** 2 * nu.value, nu.status)
+    nu, lead = [v if v.value.bit_length() <= bits else over for v in (nu, lead)]
     small, large = n * n - 1, n * n + 2 * n - 1
     rnn = ramsey(n, n)
     chain = _alpha_chain(n, large, max_digits)  # dom_small sums a prefix of it
@@ -378,7 +380,6 @@ def paper_constants(n: int, max_digits: int = 100_000,
     c1_large = SymbolicConstant(zero, dom_large)
     c2_small = _combine(lambda d, x: d * x, dom_small, xi)
     c2_large = _combine(lambda d, x: d * x, dom_large, xi)
-    lead = BoundValue((n - 1) ** 2 * nu.value, nu.status)
     c_inspc = SymbolicConstant(
         lead, _combine(lambda a, d, e: a * d + e, lead, dom_small, dom_large))
     c_inspp = _combine(lambda a, c, e: (n - 1) ** 2 + a * c + e,

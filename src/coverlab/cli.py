@@ -24,8 +24,8 @@ from .errors import (BadInput, BadParameter, Disconnected, DisconnectedMember,
                      InternalInvariantBroken, ParseError, PathTooLong,
                      SelfLoop, StarTooLarge)
 from .graph import Graph, PieceKind
-from .iso import (INVARIANTS, ForbiddenFamily, characterize, family_leq,
-                  freeness_witness, target_family)
+from .iso import (ForbiddenFamily, characterize, family_leq, freeness_witness,
+                  target_family)
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -62,14 +62,14 @@ def _load_graph(path: str, fmt: str) -> Graph:
 
 def _parse_family(spec: str) -> ForbiddenFamily:
     head = spec.split(":", 1)[0].strip().lower()
-    if head in INVARIANTS:
+    if head in solvers.INVARIANT_SPECS:
         try:
             n = int(spec.split(":", 1)[1])
         except (IndexError, ValueError):
             raise ParseError(f"bad target family spec {spec!r}") from None
         return target_family(head, n)
     members = tuple(gen.generate(part.strip()) for part in spec.split("+"))
-    return ForbiddenFamily(members, name=spec)
+    return ForbiddenFamily(members)
 
 
 def _check_timeout(timeout: Optional[float]) -> None:
@@ -269,7 +269,7 @@ def _check_order_args(p):
 
 def _characterize_args(p):
     p.add_argument("family")
-    p.add_argument("--invariant", choices=INVARIANTS, required=True)
+    p.add_argument("--invariant", choices=solvers.INVARIANT_SPECS, required=True)
 
 
 def _construct_args(p):

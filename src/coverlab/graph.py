@@ -91,15 +91,6 @@ class Graph(Record):
     def full_mask(self) -> int:
         return (1 << self.order) - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj[v]))
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.order):
@@ -108,7 +99,7 @@ class Graph(Record):
         return out
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.order)) // 2
+        return sum(self.degrees) // 2
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

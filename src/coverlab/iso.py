@@ -7,7 +7,6 @@ from typing import NamedTuple, Optional
 from . import generators as gen
 from .errors import DisconnectedMember
 from .graph import Graph, Record, bits, is_connected, mask_of
-from .solvers import INVARIANT_SPECS
 
 
 class Embedding(NamedTuple):
@@ -20,10 +19,10 @@ class Embedding(NamedTuple):
 
 
 class ForbiddenFamily(Record):
-    _fields = ("members", "name")
+    _fields = ("members",)
 
-    def __init__(self, members: tuple[Graph, ...], name: Optional[str] = None):
-        self.__dict__.update(members=members, name=name)
+    def __init__(self, members: tuple[Graph, ...]):
+        self.__dict__.update(members=members)
 
     def __iter__(self):
         return iter(self.members)
@@ -70,7 +69,7 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     if k == 0:
         return Embedding(())
     order = _pattern_order(pattern)
-    need = [pattern.degree(p) for p in order]
+    need = [pattern.adj[p].bit_count() for p in order]
     degree, host_by_degree = host.degrees, host.by_degree
     if max(need) > degree[host_by_degree[0]]:  # some pattern vertex has no candidate
         return None
@@ -165,9 +164,6 @@ def family_leq(f1: ForbiddenFamily, f2: ForbiddenFamily) -> bool:
 
 # -- characterization targets ------------------------------------------
 
-INVARIANTS = tuple(INVARIANT_SPECS)
-
-
 # invariant -> the generators of its characterizing family, each called
 # at the family's size n; ispc and ispp share the rows of inpc and inpp
 _TARGETS = {
@@ -185,8 +181,7 @@ def target_family(invariant: str, n: int) -> ForbiddenFamily:
     """The characterizing forbidden family of the given invariant at size n."""
     if invariant not in _TARGETS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    return ForbiddenFamily(tuple(make(n) for make in _TARGETS[invariant]),
-                           name=f"{invariant}:{n}")
+    return ForbiddenFamily(tuple(make(n) for make in _TARGETS[invariant]))
 
 
 def characterize(family: ForbiddenFamily, invariant: str) -> Optional[int]:

@@ -159,7 +159,7 @@ def _largest_star(g: Graph) -> int:
     """
     best = 1
     for c in g.by_degree:
-        if 1 + g.degree(c) <= best:
+        if 1 + g.degrees[c] <= best:
             break
         if _clique_cover_size(g, g.adj[c]) < best:
             continue

@@ -16,8 +16,7 @@ from typing import Optional
 
 from . import generators as gen, naive, solvers
 from .graph import Graph, PieceKind
-from .iso import (INVARIANTS, ForbiddenFamily, characterize, family_leq,
-                  target_family)
+from .iso import ForbiddenFamily, characterize, family_leq, target_family
 
 Check = tuple[str, bool]
 
@@ -63,14 +62,14 @@ def theorems() -> list[Check]:
     """Each invariant's target family characterizes it, and the
     families are ordered by their parameter."""
     out = []
-    for inv in INVARIANTS:
+    for inv in solvers.INVARIANT_SPECS:
         for n in (4, 5):
             got = characterize(target_family(inv, n), inv)
             out.append((f"characterize(target({inv},{n})) == {n}", got == n))
-    fam_p4 = ForbiddenFamily((gen.path(4),), name="P_4")
+    fam_p4 = ForbiddenFamily((gen.path(4),))
     out.append(("characterize({P_4}, inspc) is none",
                 characterize(fam_p4, "inspc") is None))
-    for inv in INVARIANTS:
+    for inv in solvers.INVARIANT_SPECS:
         for n in range(4, 7):
             ok = family_leq(target_family(inv, n), target_family(inv, n + 1))
             out.append((f"target({inv},{n}) <= target({inv},{n+1})", ok))
@@ -91,7 +90,7 @@ def cross_checks(g: Graph, values: dict[str, int]) -> tuple[dict, Optional[int]]
 
 def chains_hold(g: Graph) -> bool:
     """Every cross-check between the eight invariants holds on g."""
-    vals = {name: solvers.invariant_value(g, name).value for name in INVARIANTS}
+    vals = {name: solvers.invariant_value(g, name).value for name in solvers.INVARIANT_SPECS}
     return all(cross_checks(g, vals)[0].values())
 
 

@@ -27,8 +27,7 @@ def test_table_values():
 
 def test_search_rederives_small_value():
     bv = B.ramsey(3, 3)
-    assert bv.value == 6 and bv.status is B.Status.EXACT
-    assert bv.witness == {"method": "exhaustive", "order": 6}
+    assert bv == B.BoundValue(6, B.Status.EXACT)
 
 
 def test_exhaustive_search_direct():
@@ -171,9 +170,11 @@ def _ref_paper_constants(n, max_digits=100_000, c_chi=None):
     r = B.ramsey(n - 1, n)
     nu = B.BoundValue(r.value - 1, r.status)
     xi = B.xi_value(n, n - 2)
-    if xi.value.bit_length() > max_digits * 4:
-        xi = B.BoundValue(None, B.Status.UPPER_BOUND_ONLY,
-                          note=f"exceeds {max_digits}-digit budget")
+    lead = B.BoundValue((n - 1) ** 2 * nu.value, nu.status)
+    over = B.BoundValue(None, B.Status.UPPER_BOUND_ONLY,
+                        note=f"exceeds {max_digits}-digit budget")
+    nu, xi, lead = [over if v.value.bit_length() > max_digits * 4 else v
+                    for v in (nu, xi, lead)]
     dom_small = _ref_dominating_set_bound(n, n * n - 1, max_digits)
     dom_large = _ref_dominating_set_bound(n, n * n + 2 * n - 1, max_digits)
 
@@ -194,7 +195,6 @@ def _ref_paper_constants(n, max_digits=100_000, c_chi=None):
     c1_large = B.SymbolicConstant(zero, dom_large)
     c2_small = times(dom_small, xi)
     c2_large = times(dom_large, xi)
-    lead = B.BoundValue((n - 1) ** 2 * nu.value, nu.status)
     c_inspc = B.SymbolicConstant(lead, plus(times(lead, dom_small), dom_large))
     c_inspp = plus(B.BoundValue((n - 1) ** 2, B.Status.EXACT),
                    plus(times(lead, c2_small), c2_large))
@@ -420,6 +420,15 @@ def test_table_entry_the_search_contradicts_raises(tmp_path, monkeypatch, entry)
             B.ramsey(3, 3, max_search_order=7)
         assert str(exc.value) == message
     assert B._search_cache == {}
+
+@pytest.mark.parametrize("fn, args, message", [
+    (B.alpha_value, (0, 1), "n >= 1 and h >= 1 required"),
+    (B.xi_value, (2, 1), "n >= 3 and i >= 1 required"),
+], ids=["alpha", "xi"])
+def test_derived_quantities_reject_out_of_range_parameters(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
 
 def test_nu_value():
     assert B.nu_value(4).value == 8  # R(3,4) - 1

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -359,6 +360,14 @@ def test_bounds_constants_print_xi_past_the_int_to_text_limit(capsys):
         "(exceeds 1000-digit budget)\n" in out
 
 
+@pytest.mark.parametrize("n", ["40", "3000"])
+def test_bounds_constants_materialize_no_number_over_the_budget(capsys, n):
+    # nu, and the lead term (n-1)^2 * nu of c_inspc, obey --max-digits too
+    code, out, _ = run(capsys, "bounds", "constants", n, "--max-digits", "10")
+    assert code == 0 and "nu = <not materialized>" in out
+    assert max(int(x).bit_length() for x in re.findall(r"\d+", out)) <= 40
+
+
 def test_bounds_constants_skip_an_xi_far_over_budget(capsys):
     start = time.monotonic()
     code, out, _ = run(capsys, "bounds", "constants", "3000")
@@ -375,6 +384,33 @@ def test_verify_suites_small(capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "oracle", "--count", "5", "--seed", "9")
     assert code == 0
+
+
+def test_a_wrong_partition_solver_fails_the_oracle_suite(monkeypatch, capsys):
+    min_partition = verify.solvers.min_partition
+
+    def one_piece_too_many(g, kind, *args):
+        cert = min_partition(g, kind, *args)
+        return cert._replace(pieces=cert.pieces + cert.pieces[:1])
+
+    monkeypatch.setattr(verify.solvers, "min_partition", one_piece_too_many)
+    code, out, _ = run(capsys, "verify", "oracle", "--count", "2")
+    assert code == 2 and out.count("FAIL oracle(seed=") == 2
+    assert out.endswith("\n0/2 checks passed\n")
+
+
+def test_a_broken_chain_inequality_fails_the_chains_suite(monkeypatch, capsys):
+    invariant_value = verify.solvers.invariant_value
+
+    def no_star_cover(g, name, *args):
+        # insc = 0 breaks inspc <= insc and no other CHAIN_PAIRS inequality
+        cert = invariant_value(g, name, *args)
+        return cert._replace(pieces=()) if name == "insc" else cert
+
+    monkeypatch.setattr(verify.solvers, "invariant_value", no_star_cover)
+    code, out, _ = run(capsys, "verify", "chains", "--count", "2")
+    assert code == 2 and out.count("FAIL chains(seed=") == 2
+    assert out.endswith("\n0/2 checks passed\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])
@@ -518,9 +554,19 @@ def test_timeout_must_be_finite(tmp_path, capsys, command, timeout):
     (["bounds", "ramsey", "3", "4", "--search-order", "-1"],
      "max_search_order >= 0 required, got -1"),
     (["bounds", "constants", "4", "7"], "bounds constants takes one argument"),
+    (["check-free", "-", "inspc:x"], "bad target family spec 'inspc:x'"),
+    (["gen", "complete:0"], "complete: n >= 1 required"),
+    (["gen", "empty:0"], "empty: n >= 1 required"),
+    (["gen", "path:0"], "path: n >= 1 required"),
+    (["gen", "stilde:1"], "stilde: n >= 2 required"),
+    (["gen", "f1:1"], "f1: n >= 2 required"),
+    (["gen", "kstar:0"], "kstar: n >= 1 required"),
+    (["construct", "-", "--mode", "cover", "--n", "3"], "n >= 4 required"),
+    (["construct", "-", "--mode", "partition", "--n", "4", "--root", "99"],
+     "root out of range"),
 ])
 def test_argument_and_parameter_errors_exit_4(monkeypatch, capsys, argv, message):
-    # convert-cover reads P_5 from stdin
+    # a command that reads a graph reads P_5 from stdin
     monkeypatch.setattr("sys.stdin", io.StringIO("p 5\n0 1\n1 2\n2 3\n3 4\n"))
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""

@@ -16,9 +16,9 @@ from coverlab.constructive import (_LayeredState, _band_segments,
                                    insc_bounded, insp_bounded,
                                    sp_cover_construct, sp_partition_construct,
                                    star_partition_neighborhood)
-from coverlab.errors import (BadInput, Disconnected, FreenessViolated,
-                             IndexOutOfRange, InternalInvariantBroken,
-                             PathTooLong, StarTooLarge)
+from coverlab.errors import (BadInput, BadParameter, Disconnected,
+                             FreenessViolated, IndexOutOfRange,
+                             InternalInvariantBroken, PathTooLong, StarTooLarge)
 from coverlab.graph import (PieceKind, bits, build_graph, distance_rings,
                             mask_of, piece_shape_mask)
 from coverlab.iso import is_family_free, target_family
@@ -46,7 +46,7 @@ def test_neighborhood_single_star():
 
 def test_neighborhood_on_dense_spider():
     g = gen.s_tilde(2)
-    t = star_partition_neighborhood(g, 0, g.neighbors(0), 4)
+    t = star_partition_neighborhood(g, 0, list(bits(g.adj[0])), 4)
     check_star_partition(g, t, g.full_mask)
     assert t.result.value <= 9
     assert t.claimed_bound.value == 9
@@ -55,7 +55,7 @@ def test_neighborhood_on_dense_spider():
 def test_neighborhood_rejects_clique():
     g = gen.complete(4)
     with pytest.raises(FreenessViolated) as exc:
-        star_partition_neighborhood(g, 0, g.neighbors(0), 4)
+        star_partition_neighborhood(g, 0, list(bits(g.adj[0])), 4)
     assert "K_4" in str(exc.value)
 
 
@@ -69,6 +69,17 @@ def test_neighborhood_rejects_bad_subset():
 def test_neighborhood_rejects_a_vertex_outside_the_graph(x, X, bad):
     with pytest.raises(IndexOutOfRange, match=rf"^vertex {bad} outside \[0,4\)$"):
         star_partition_neighborhood(gen.star(3), x, X, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: star_partition_neighborhood(gen.star(3), 0, [1, 2, 3], 2), "n >= 3 required"),
+    (lambda: insc_bounded(gen.star(3), 2), "n >= 3 required"),
+    (lambda: cover_to_star_cover(gen.path(4), min_cover(gen.path(4), PieceKind.SP_ANY), 0),
+     "n >= 1 required, got 0"),
+], ids=["neighborhood", "insc_bounded", "cover_to_star_cover"])
+def test_constructions_reject_a_size_out_of_range(call, message):
+    with pytest.raises(BadParameter, match=message):
+        call()
 
 
 def test_insc_bounded_examples():

@@ -83,6 +83,16 @@ def test_edge_list_errors():
         from_edge_list("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p 3 4\n", "line 1: header must be 'p <order>'"),
+    ("p 3\n1 x\n", "line 2: bad vertex index"),
+])
+def test_edge_list_error_messages(text, message):
+    with pytest.raises(FormatError) as exc:
+        from_edge_list(text)
+    assert str(exc.value) == message
+
+
 def test_dispatch():
     g = gen.cycle(5)
     for fmt in ("g6", "edges"):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from coverlab import generators as gen
 from coverlab.errors import DisconnectedMember
 from coverlab.graph import build_graph
-from coverlab.iso import (INVARIANTS, Embedding, ForbiddenFamily, _pattern_order,
+from coverlab.iso import (Embedding, ForbiddenFamily, _pattern_order,
                           characterize, contains_induced, family_leq,
                           freeness_witness, is_family_free, target_family)
+from coverlab.solvers import INVARIANT_SPECS
 from coverlab.verify import theorems
 
 
@@ -22,7 +23,7 @@ def brute_contains_induced(host, pattern):
             ok = True
             for a in range(pattern.order):
                 for b in range(a + 1, pattern.order):
-                    if pattern.has_edge(a, b) != host.has_edge(perm[a], perm[b]):
+                    if pattern.adj[a] >> b & 1 != host.adj[perm[a]] >> perm[b] & 1:
                         ok = False
                         break
                 if not ok:
@@ -65,7 +66,7 @@ def test_embedding_is_induced():
         assert len(set(emb.map)) == pattern.order
         for a in range(pattern.order):
             for b in range(a + 1, pattern.order):
-                assert pattern.has_edge(a, b) == host.has_edge(emb.map[a], emb.map[b])
+                assert pattern.adj[a] >> b & 1 == host.adj[emb.map[a]] >> emb.map[b] & 1
     assert found > 50
 
 
@@ -88,11 +89,11 @@ def least_embedding(host, pattern):
     """The induced embedding whose images, read in `_pattern_order` and
     ranked by host degree descending (index ascending), are least."""
     order = _pattern_order(pattern)
-    by_degree = sorted(range(host.order), key=lambda v: (-host.degree(v), v))
+    by_degree = sorted(range(host.order), key=lambda v: (-host.degrees[v], v))
     rank = {h: i for i, h in enumerate(by_degree)}
     best = None
     for images in permutations(range(host.order), pattern.order):
-        if all(pattern.has_edge(a, b) == host.has_edge(images[a], images[b])
+        if all(pattern.adj[a] >> b & 1 == host.adj[images[a]] >> images[b] & 1
                for a, b in combinations(range(pattern.order), 2)):
             key = tuple(rank[images[p]] for p in order)
             if best is None or key < best[0]:
@@ -158,10 +159,10 @@ def _holds(checks, prefix, count):
 
 
 def test_family_leq_reflexive_and_monotone(theorem_checks):
-    for inv in INVARIANTS:
+    for inv in INVARIANT_SPECS:
         f4 = target_family(inv, 4)
         assert family_leq(f4, f4)
-    _holds(theorem_checks, "target(", 3 * len(INVARIANTS))
+    _holds(theorem_checks, "target(", 3 * len(INVARIANT_SPECS))
 
 
 def test_family_leq_transitive_spot():
@@ -172,7 +173,7 @@ def test_family_leq_transitive_spot():
 
 
 def test_characterize_self(theorem_checks):
-    _holds(theorem_checks, "characterize(target(", 2 * len(INVARIANTS))
+    _holds(theorem_checks, "characterize(target(", 2 * len(INVARIANT_SPECS))
 
 
 def test_characterize_none_and_errors(theorem_checks):

@@ -923,7 +923,8 @@ def test_order_zero_graph():
     assert solvers.min_dominating_set(g) == []
 
 
-@pytest.mark.parametrize("solve", [min_cover, min_partition])
+@pytest.mark.parametrize("solve", [min_cover, min_partition,
+                                   solvers.enumerate_maximal_pieces])
 @pytest.mark.parametrize("order", [0, 5])
 def test_unknown_kind_is_rejected(solve, order):
     with pytest.raises(ValueError, match="unknown kind 'star'"):

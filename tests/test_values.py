@@ -23,16 +23,16 @@ NINE = BoundValue(9, Status.TABLE_EXACT)
 VALUES = [
     (PieceCertificate, {"kind": PieceKind.PATH, "mode": "cover", "pieces": ((0, 1, 2),),
                         "optimal": True, "lower_bound": 1}, 5, {"optimal": False}),
-    (BoundValue, {"value": 9, "status": Status.TABLE_EXACT, "note": "", "witness": None},
+    (BoundValue, {"value": 9, "status": Status.TABLE_EXACT, "note": ""},
      2, {"note": "table"}),
     (SymbolicConstant, {"constant_term": BoundValue(0, Status.EXACT),
-                        "coefficient": NINE, "symbol": "c_chi"}, 2, {"symbol": "c"}),
+                        "coefficient": NINE}, 2, {"coefficient": BoundValue(8, Status.EXACT)}),
     (Embedding, {"map": (2, 0, 1)}, 1, {"map": (0, 1, 2)}),
     (ConstructionTrace, {"algorithm": "sp_cover", "n": 4, "intermediate": {"depth": 2},
                          "result": CERT, "claimed_bound": NINE}, 5, {"n": 5}),
     (Graph, {"order": 3, "adj": (2, 5, 2), "label": None}, 2, {"label": "P_3"}),
     (SolveConfig, {"timeout": None}, 0, {"timeout": 0.5}),
-    (ForbiddenFamily, {"members": (gen.path(4),), "name": None}, 1, {"name": "P_4"}),
+    (ForbiddenFamily, {"members": (gen.path(4),)}, 1, {"members": (gen.star(3),)}),
 ]
 
 
@@ -67,6 +67,13 @@ def test_named_tuple_types_are_tuples():
     assert CERT.value == 1
 
 
+def test_record_field_cannot_be_deleted():
+    g = gen.path(3)
+    with pytest.raises(AttributeError, match="cannot delete field 'order'"):
+        del g.order
+    assert g.order == 3
+
+
 def test_graph_checks_adjacency_length():
     with pytest.raises(IndexOutOfRange):
         Graph(2, (0,))
@@ -74,7 +81,7 @@ def test_graph_checks_adjacency_length():
 
 def test_forbidden_family_iterates_its_members():
     members = (gen.path(4), gen.star(3))
-    assert list(ForbiddenFamily(members, name="x")) == list(members)
+    assert list(ForbiddenFamily(members)) == list(members)
 
 
 def test_graph_caches_rings_and_components():
