@@ -15,9 +15,9 @@ Library layout:
 """
 
 from .graph import Graph, PieceKind, build_graph
-from .iso import ForbiddenFamily, characterize, contains_induced, family_leq, target_family
-from .solvers import (PieceCertificate, SolveConfig, invariant_value,
-                      min_cover, min_partition, validate_certificate)
+from .iso import characterize, contains_induced, family_leq, target_family
+from .solvers import (PieceCertificate, invariant_value, min_cover, min_partition,
+                      validate_certificate)
 from .bounds import BoundValue, Status, ramsey
 from .constructive import (ConstructionTrace, cover_to_path_cover,
                            cover_to_star_cover, insc_bounded, insp_bounded,
@@ -27,9 +27,8 @@ from .constructive import (ConstructionTrace, cover_to_path_cover,
 __version__ = "1.0.0"
 
 __all__ = [
-    "BoundValue", "ConstructionTrace", "ForbiddenFamily", "Graph",
-    "PieceCertificate", "PieceKind", "SolveConfig", "Status",
-    "build_graph", "characterize", "contains_induced", "cover_to_path_cover",
+    "BoundValue", "ConstructionTrace", "Graph", "PieceCertificate", "PieceKind",
+    "Status", "build_graph", "characterize", "contains_induced", "cover_to_path_cover",
     "cover_to_star_cover", "family_leq", "insc_bounded", "insp_bounded",
     "invariant_value", "min_cover", "min_partition", "ramsey",
     "sp_cover_construct", "sp_partition_construct",

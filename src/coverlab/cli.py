@@ -24,8 +24,7 @@ from .errors import (BadInput, BadParameter, Disconnected, DisconnectedMember,
                      InternalInvariantBroken, ParseError, PathTooLong,
                      SelfLoop, StarTooLarge)
 from .graph import Graph, PieceKind
-from .iso import (ForbiddenFamily, characterize, family_leq, freeness_witness,
-                  target_family)
+from .iso import characterize, family_leq, freeness_witness, target_family
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -47,10 +46,10 @@ def _read_text(path: str) -> str:
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -60,7 +59,7 @@ def _load_graph(path: str, fmt: str) -> Graph:
     return formats.read_graph(_read_text(path), fmt)
 
 
-def _parse_family(spec: str) -> ForbiddenFamily:
+def _parse_family(spec: str) -> tuple[Graph, ...]:
     head = spec.split(":", 1)[0].strip().lower()
     if head in solvers.INVARIANT_SPECS:
         try:
@@ -68,8 +67,7 @@ def _parse_family(spec: str) -> ForbiddenFamily:
         except (IndexError, ValueError):
             raise ParseError(f"bad target family spec {spec!r}") from None
         return target_family(head, n)
-    members = tuple(gen.generate(part.strip()) for part in spec.split("+"))
-    return ForbiddenFamily(members)
+    return tuple(gen.generate(part.strip()) for part in spec.split("+"))
 
 
 def _check_timeout(timeout: Optional[float]) -> None:
@@ -95,7 +93,6 @@ def cmd_solve(args) -> int:
     for name in names:
         if name not in solvers.INVARIANT_SPECS:
             raise ParseError(f"unknown invariant {name!r}")
-    cfg = solvers.SolveConfig(timeout=args.timeout)
     report = {
         "graph": {"order": g.order, "edges": g.edge_count(),
                   "graph6": formats.to_graph6(g)},
@@ -104,7 +101,7 @@ def cmd_solve(args) -> int:
     timed_out = False
     values = {}
     for name in names:
-        cert = solvers.invariant_value(g, name, cfg)
+        cert = solvers.invariant_value(g, name, timeout=args.timeout)
         if not solvers.validate_certificate(g, cert):
             raise InternalInvariantBroken(f"{name}: certificate failed validation")
         timed_out |= not cert.optimal
@@ -171,8 +168,7 @@ def cmd_convert_cover(args) -> int:
     if args.n < 1:  # before the solve, which can take long
         raise BadParameter(f"n >= 1 required, got {args.n}")
     g = _load_graph(args.graph, args.format)
-    cert = solvers.min_cover(g, PieceKind.SP_ANY,
-                             solvers.SolveConfig(timeout=args.timeout))
+    cert = solvers.min_cover(g, PieceKind.SP_ANY, timeout=args.timeout)
     if args.to == "star":
         out = constructive.cover_to_star_cover(g, cert, args.n)
     else:

@@ -19,7 +19,7 @@ from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      StarTooLarge)
 from .graph import (Graph, PieceKind, bits, certificate_fault,
                     distance_rings, is_connected, mask_of, piece_shape_mask)
-from .iso import ForbiddenFamily, freeness_witness, target_family
+from .iso import freeness_witness, target_family
 from .solvers import (PieceCertificate, chromatic_coloring,
                       min_dominating_set, validate_certificate)
 
@@ -57,8 +57,8 @@ class ConstructionTrace(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _check_free(g: Graph, members: Sequence[Graph]) -> None:
-    hit = freeness_witness(g, ForbiddenFamily(tuple(members)))
+def _check_free(g: Graph, family: Sequence[Graph]) -> None:
+    hit = freeness_witness(g, family)
     if hit is not None:
         h, emb = hit
         raise FreenessViolated(h.label or f"pattern<{h.order}>", emb.image())
@@ -505,7 +505,7 @@ def _sp_construct(g: Graph, n: int, root: int, mode: str) -> ConstructionTrace:
     cover = mode == "cover"
     bounded = insc_bounded if cover else insp_bounded
     band_pieces = _woven_paths if cover else _band_segments
-    _check_free(g, target_family("inspc" if cover else "inspp", n).members)
+    _check_free(g, target_family("inspc" if cover else "inspp", n))
     algorithm = f"sp_{mode}_construct"
 
     d = len(rings) - 1

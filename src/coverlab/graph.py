@@ -42,48 +42,38 @@ class PieceKind(Enum):
     SP_ANY = "sp_any"
 
 
-class Record:
-    """Value semantics for a small class with the fields `_fields`:
-    equality and hash by value, a `Name(field=value, ...)` repr, and no
-    assignment to an attribute once built, so `__init__` sets the fields
-    in `self.__dict__`.  For a type that needs validation, a per-instance
-    cache, its own iteration or mutation; any other value type is a
-    `typing.NamedTuple`."""
+class Graph:
+    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of v.
 
-    __slots__ = ()
-    _fields: tuple[str, ...]
+    A value: equality and hash by (order, adj, label), a
+    `Graph(order=..., adj=..., label=...)` repr, and no assignment to an
+    attribute, so `__init__` sets the fields in `__dict__`, beside the
+    per-graph caches, which are no fields."""
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+    def __init__(self, order: int, adj: tuple[int, ...], label: Optional[str] = None):
+        if len(adj) != order:
+            raise IndexOutOfRange("adjacency length does not match order")
+        self.__dict__.update(order=order, adj=adj, label=label)
+
+    def _key(self) -> tuple:
+        return self.order, self.adj, self.label
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if other.__class__ is not Graph:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key())
 
     def __repr__(self):
-        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({inner})"
+        return f"Graph(order={self.order!r}, adj={self.adj!r}, label={self.label!r})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Graph(Record):
-    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of v."""
-
-    _fields = ("order", "adj", "label")
-
-    def __init__(self, order: int, adj: tuple[int, ...], label: Optional[str] = None):
-        if len(adj) != order:
-            raise IndexOutOfRange("adjacency length does not match order")
-        self.__dict__.update(order=order, adj=adj, label=label)
 
     # -- basic queries -------------------------------------------------
 
@@ -254,8 +244,12 @@ def _is_isometric(g: Graph, order: list[int]) -> bool:
 
 def piece_shape_mask(g: Graph, mask: int, kind: PieceKind) -> bool:
     """Does g[mask] belong to the kind's family of stars/paths?"""
+    if not isinstance(kind, PieceKind):
+        raise ValueError(f"unknown kind {kind!r}")
     if mask == 0:
         raise EmptyPiece("piece must be non-empty")
+    if mask >> g.order:
+        raise IndexOutOfRange(f"piece leaves [0,{g.order})")
     if mask & (mask - 1) == 0:  # singleton: K_1 accepted everywhere
         return True
     if kind is PieceKind.STAR:
@@ -265,9 +259,7 @@ def piece_shape_mask(g: Graph, mask: int, kind: PieceKind) -> bool:
     if kind is PieceKind.ISOMETRIC_PATH:
         order = _path_order(g, mask)
         return order is not None and _is_isometric(g, order)
-    if kind is PieceKind.SP_ANY:
-        return _star_center(g, mask) is not None or _path_order(g, mask) is not None
-    raise ValueError(f"unknown kind {kind!r}")
+    return _star_center(g, mask) is not None or _path_order(g, mask) is not None
 
 
 def certificate_fault(g: Graph, domain: int, kind: PieceKind, mode: str,

@@ -1,12 +1,13 @@
-"""Induced-subgraph containment and the order relation between forbidden families."""
+"""Induced-subgraph containment and the order relation between forbidden
+families; a forbidden family is a sequence of graphs."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from . import generators as gen
 from .errors import DisconnectedMember
-from .graph import Graph, Record, bits, is_connected, mask_of
+from .graph import Graph, bits, is_connected, mask_of
 
 
 class Embedding(NamedTuple):
@@ -16,16 +17,6 @@ class Embedding(NamedTuple):
 
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(self.map))
-
-
-class ForbiddenFamily(Record):
-    _fields = ("members",)
-
-    def __init__(self, members: tuple[Graph, ...]):
-        self.__dict__.update(members=members)
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 def _pattern_order(pattern: Graph) -> list[int]:
@@ -141,11 +132,11 @@ def contains_induced(host: Graph, pattern: Graph) -> Optional[Embedding]:
     return None
 
 
-def is_family_free(g: Graph, family: ForbiddenFamily) -> bool:
+def is_family_free(g: Graph, family: Sequence[Graph]) -> bool:
     return freeness_witness(g, family) is None
 
 
-def freeness_witness(g: Graph, family: ForbiddenFamily) -> Optional[tuple[Graph, Embedding]]:
+def freeness_witness(g: Graph, family: Sequence[Graph]) -> Optional[tuple[Graph, Embedding]]:
     """First family member found induced in g, with its embedding."""
     for h in family:
         emb = contains_induced(g, h)
@@ -154,7 +145,7 @@ def freeness_witness(g: Graph, family: ForbiddenFamily) -> Optional[tuple[Graph,
     return None
 
 
-def family_leq(f1: ForbiddenFamily, f2: ForbiddenFamily) -> bool:
+def family_leq(f1: Sequence[Graph], f2: Sequence[Graph]) -> bool:
     """f1 <= f2: every member of f2 contains some member of f1 induced."""
     return all(
         any(contains_induced(h2, h1) is not None for h1 in f1)
@@ -177,14 +168,14 @@ _TARGETS = {
 _TARGETS["ispc"], _TARGETS["ispp"] = _TARGETS["inpc"], _TARGETS["inpp"]
 
 
-def target_family(invariant: str, n: int) -> ForbiddenFamily:
+def target_family(invariant: str, n: int) -> tuple[Graph, ...]:
     """The characterizing forbidden family of the given invariant at size n."""
     if invariant not in _TARGETS:
         raise ValueError(f"unknown invariant {invariant!r}")
-    return ForbiddenFamily(tuple(make(n) for make in _TARGETS[invariant]))
+    return tuple(make(n) for make in _TARGETS[invariant])
 
 
-def characterize(family: ForbiddenFamily, invariant: str) -> Optional[int]:
+def characterize(family: Sequence[Graph], invariant: str) -> Optional[int]:
     """Least n >= 4 with family <= target(n), searched up to max(4, p+2).
 
     A None result means no witness up to the cutoff, not a mathematical
@@ -192,7 +183,7 @@ def characterize(family: ForbiddenFamily, invariant: str) -> Optional[int]:
     in a target member has at most p vertices and the target families
     grow monotonically in n.
     """
-    if not family.members:
+    if not family:
         raise ValueError("family must be non-empty")
     for h in family:
         if not is_connected(h):

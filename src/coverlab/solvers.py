@@ -15,8 +15,7 @@ from typing import (Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
                     TypeVar)
 
 from .errors import Disconnected
-from .graph import (Graph, PieceKind, Record, bits, certificate_fault, is_connected,
-                    mask_of)
+from .graph import Graph, PieceKind, bits, certificate_fault, is_connected, mask_of
 
 # invariant name -> (piece kind, mode), in the order the CLI and verify list them
 INVARIANT_SPECS = {
@@ -29,16 +28,6 @@ INVARIANT_SPECS = {
     "ispc": (PieceKind.ISOMETRIC_PATH, "cover"),
     "ispp": (PieceKind.ISOMETRIC_PATH, "partition"),
 }
-
-
-class SolveConfig(Record):
-    _fields = ("timeout",)
-
-    def __init__(self, timeout: Optional[float] = None):
-        # a NaN deadline would compare false everywhere and never fire
-        if timeout is not None and math.isnan(timeout):
-            raise ValueError("timeout must not be NaN")
-        self.__dict__["timeout"] = timeout
 
 
 class PieceCertificate(NamedTuple):
@@ -541,7 +530,7 @@ def _piece_classes(g: Graph, within: int, v: int, kind: PieceKind,
 
 
 def _solve(g: Graph, kind: PieceKind, mode: str,
-           config: SolveConfig) -> PieceCertificate:
+           timeout: Optional[float]) -> PieceCertificate:
     """A least cover (over the maximal pieces) or partition of V(G) by
     pieces of `kind`, with a deadline that starts before any piece is
     listed or the largest size found.  Pieces are connected, so `_search`
@@ -549,9 +538,12 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     and lower bounds add up."""
     if not isinstance(kind, PieceKind):
         raise ValueError(f"unknown kind {kind!r}")
+    # a NaN deadline would compare false everywhere and never fire
+    if timeout is not None and math.isnan(timeout):
+        raise ValueError("timeout must not be NaN")
     if g.order == 0:
         return PieceCertificate(kind, mode, (), True, 0)
-    deadline = math.inf if config.timeout is None else time.monotonic() + config.timeout
+    deadline = math.inf if timeout is None else time.monotonic() + timeout
     if mode == "cover":
         pieces = enumerate_maximal_pieces(g, kind)
         max_size = pieces[0].bit_count()
@@ -567,39 +559,39 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
                             optimal, bound)
 
 
-def min_cover(g: Graph, kind: PieceKind,
-              config: SolveConfig = SolveConfig()) -> PieceCertificate:
+def min_cover(g: Graph, kind: PieceKind, *,
+              timeout: Optional[float] = None) -> PieceCertificate:
     """Minimum number of pieces whose union is V(G), pieces may overlap."""
-    return _solve(g, kind, "cover", config)
+    return _solve(g, kind, "cover", timeout)
 
 
-def min_partition(g: Graph, kind: PieceKind,
-                  config: SolveConfig = SolveConfig()) -> PieceCertificate:
+def min_partition(g: Graph, kind: PieceKind, *,
+                  timeout: Optional[float] = None) -> PieceCertificate:
     """Minimum number of disjoint pieces whose union is V(G)."""
-    return _solve(g, kind, "partition", config)
+    return _solve(g, kind, "partition", timeout)
 
 
-def invariant_value(g: Graph, name: str,
-                    config: SolveConfig = SolveConfig()) -> PieceCertificate:
+def invariant_value(g: Graph, name: str, *,
+                    timeout: Optional[float] = None) -> PieceCertificate:
     """Solve one of the eight named invariants exactly."""
     if name not in INVARIANT_SPECS:
         raise ValueError(f"unknown invariant {name!r}")
     kind, mode = INVARIANT_SPECS[name]
     if mode == "cover":
-        return min_cover(g, kind, config)
-    return min_partition(g, kind, config)
+        return min_cover(g, kind, timeout=timeout)
+    return min_partition(g, kind, timeout=timeout)
 
 
 def validate_certificate(g: Graph, cert: PieceCertificate) -> bool:
     """Is cert a cover or partition of V(G) by pieces of its kind?  A
-    mode other than "cover" or "partition", or a piece of the wrong shape
-    or with a vertex that is not an int of V(G), gives False; an empty
-    piece raises EmptyPiece."""
-    if cert.mode not in ("cover", "partition"):
+    mode other than "cover" or "partition", a kind that is no PieceKind,
+    or a piece of the wrong shape or with a vertex that is not an int of
+    V(G), gives False; an empty piece raises EmptyPiece."""
+    if cert.mode not in ("cover", "partition") or not isinstance(cert.kind, PieceKind):
         return False
     for v in chain.from_iterable(cert.pieces):
-        if not isinstance(v, int) or v < 0:
-            return False  # no mask can hold it
+        if not isinstance(v, int) or not 0 <= v < g.order:
+            return False  # before `mask_of` shifts 1 by it
     return certificate_fault(g, g.full_mask, cert.kind, cert.mode,
                              map(mask_of, cert.pieces)) is None
 

@@ -9,7 +9,7 @@ from coverlab.constructive import (sp_cover_construct, sp_partition_construct,
                                    star_partition_neighborhood)
 from coverlab.graph import (PieceKind, build_graph, is_connected, mask_of,
                             piece_shape_mask)
-from coverlab.iso import ForbiddenFamily, is_family_free, target_family
+from coverlab.iso import is_family_free, target_family
 from coverlab.solvers import invariant_value, validate_certificate
 from coverlab.verify import (chains_hold, lemma41, lemma42, oracle_agrees,
                              theorems)
@@ -121,7 +121,7 @@ def test_criterion_5_constructive_validity():
 
 def test_criterion_6_neighborhood_partition_bound():
     rng = random.Random(66001)
-    filt = ForbiddenFamily((gen.complete(4), gen.s_tilde(4)))
+    filt = (gen.complete(4), gen.s_tilde(4))
     done = 0
     ok = True
     while done < 100:

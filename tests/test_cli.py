@@ -127,6 +127,24 @@ def test_check_free_out_file(tmp_path, capsys):
     assert out_file.read_text() == "free\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "{g}", "--invariants", "inspc,insp"],
+    ["construct", "{g}", "--mode", "cover", "--n", "4"],
+    ["convert-cover", "{g}", "--to", "path", "--n", "4"],
+    ["check-free", "{g}", "inspc:4"],
+    ["gen", "c:6"],
+], ids=lambda argv: argv[0])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    graph = tmp_path / "p6.txt"
+    run(capsys, "gen", "p:6", "--out", str(graph))
+    argv = [arg.format(g=graph) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+    out_file = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(out_file)) == (code, "", "")
+    assert out_file.read_bytes() == out.encode()
+
+
 def test_check_free_long_path(tmp_path, capsys):
     path = tmp_path / "p1200.txt"
     run(capsys, "gen", "p:1200", "--out", str(path))
@@ -203,9 +221,9 @@ def test_solve_solves_each_named_invariant_once(tmp_path, monkeypatch, capsys):
     run(capsys, "gen", "c:5", "--out", str(path))
     solved = []
 
-    def counted(g, name, config, solve=cli.solvers.invariant_value):
+    def counted(g, name, timeout, solve=cli.solvers.invariant_value):
         solved.append(name)
-        return solve(g, name, config)
+        return solve(g, name, timeout=timeout)
 
     monkeypatch.setattr(cli.solvers, "invariant_value", counted)
     code, out, _ = run(capsys, "solve", str(path), "--invariants",
@@ -216,7 +234,7 @@ def test_solve_solves_each_named_invariant_once(tmp_path, monkeypatch, capsys):
 
 def test_solve_validates_a_timed_out_certificate(monkeypatch, capsys):
     # a cover of P_5 that misses three vertices, returned as if timed out
-    def invalid(g, name, config):
+    def invalid(g, name, timeout):
         return cli.solvers.PieceCertificate(PieceKind.PATH, "cover", ((0, 1),),
                                             False, 1)
     monkeypatch.setattr(cli.solvers, "invariant_value", invalid)
@@ -242,8 +260,8 @@ def test_solve_timed_out_answer_exits_3(tmp_path, capsys):
 
 def test_solve_failed_cross_check_exits_2(monkeypatch, capsys):
     # a redundant singleton still makes a valid cover, one piece too many
-    def padded(g, name, config, solve=cli.solvers.invariant_value):
-        cert = solve(g, name, config)
+    def padded(g, name, timeout, solve=cli.solvers.invariant_value):
+        cert = solve(g, name, timeout=timeout)
         if name == "inspc":
             cert = cert._replace(pieces=cert.pieces + ((0,),))
         return cert
@@ -440,7 +458,7 @@ def test_solve_too_deep_exits_5(tmp_path, monkeypatch, capsys):
 
     # a solver that still runs out of recursion depth exits 5, with one
     # error line and no traceback
-    def too_deep(*args):
+    def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(cli.solvers, "invariant_value", too_deep)
@@ -481,7 +499,7 @@ def test_verify_pool_has_no_more_workers_than_cases_or_cpus(monkeypatch, capsys)
     started = []
 
     class InlinePool:
-        """Records its size and runs the cases here: no process starts."""
+        """Notes its size and runs the cases here: no process starts."""
 
         def __init__(self, processes):
             started.append(processes)

@@ -38,9 +38,16 @@ def test_build_graph_rejects_a_negative_order():
 
 
 def test_piece_shape_mask_rejects_an_unknown_kind():
-    # a one-vertex mask is accepted before the kind is read
-    with pytest.raises(ValueError, match="unknown kind 'star'"):
-        piece_shape_mask(gen.path(3), 0b11, "star")
+    # the kind is read before a one-vertex mask is accepted
+    for mask in (0b11, 1):
+        with pytest.raises(ValueError, match="unknown kind 'star'"):
+            piece_shape_mask(gen.path(3), mask, "star")
+
+
+def test_piece_shape_mask_rejects_a_vertex_outside_the_graph():
+    for mask in (1 << 5, 0b11 | 1 << 3, -1):
+        with pytest.raises(IndexOutOfRange):
+            piece_shape_mask(gen.path(3), mask, PieceKind.PATH)
 
 
 def test_duplicate_edges_coalesce():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coverlab import generators as gen
 from coverlab.errors import DisconnectedMember
 from coverlab.graph import build_graph
-from coverlab.iso import (Embedding, ForbiddenFamily, _pattern_order,
+from coverlab.iso import (Embedding, _pattern_order,
                           characterize, contains_induced, family_leq,
                           freeness_witness, is_family_free, target_family)
 from coverlab.solvers import INVARIANT_SPECS
@@ -179,8 +179,8 @@ def test_characterize_self(theorem_checks):
 def test_characterize_none_and_errors(theorem_checks):
     _holds(theorem_checks, "characterize({P_4}", 1)
     with pytest.raises(DisconnectedMember):
-        characterize(ForbiddenFamily((build_graph(4, [(0, 1)]),)), "inspc")
+        characterize((build_graph(4, [(0, 1)]),), "inspc")
     with pytest.raises(ValueError):
-        characterize(ForbiddenFamily(()), "inspc")
+        characterize((), "inspc")
     with pytest.raises(ValueError):
         target_family("nope", 4)

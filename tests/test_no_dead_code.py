@@ -6,9 +6,10 @@ outside its own definition: by name in its own module, or from another
 module as an attribute or a `from` import.  A public function or class
 must be read the same way, or be named by a benchmark script, or be
 exported by `coverlab.__all__`.  A class member (a method or property
-that is not a dunder, a `NamedTuple` field or a `Record._fields` entry)
-must be read outside its own definition, in the package or a benchmark
-script, as an attribute or through `getattr` with a constant name."""
+that is not a dunder, a `NamedTuple` field or an entry of a class's
+`_fields` tuple) must be read outside its own definition, in the package
+or a benchmark script, as an attribute or through `getattr` with a
+constant name."""
 
 import ast
 import pathlib

@@ -13,7 +13,7 @@ from coverlab import cli, formats, generators as gen, graph, naive, solvers
 from coverlab.errors import Disconnected, EmptyPiece
 from coverlab.graph import (Graph, PieceKind, bits, build_graph, is_connected,
                             is_independent, mask_of, piece_shape_mask)
-from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
+from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate,
                               chromatic_coloring, chromatic_number,
                               clique_number, enumerate_maximal_pieces,
                               invariant_value, min_cover, min_dominating_set,
@@ -86,15 +86,17 @@ def test_validate_certificate_negative():
     assert not validate_certificate(g, overlap)
     ok = PieceCertificate(PieceKind.PATH, "cover", ((0, 1, 2), (2, 3)), False, 1)
     assert validate_certificate(g, ok)
-    # a vertex outside V(G) is reported, not looked up
-    for pieces in (((0, 1, 2, 3, 9),), ((9,),), ((0, 1, 2, 3), (-1,))):
+    # a vertex outside V(G) is reported, not looked up, and no mask is
+    # built for it, however large
+    for pieces in (((0, 1, 2, 3, 9),), ((9,),), ((0, 1, 2, 3), (-1,)),
+                   ((0, 1, 2, 3), (2**62,))):
         outside = PieceCertificate(PieceKind.PATH, "cover", pieces, False, 1)
         assert not validate_certificate(g, outside)
     with pytest.raises(EmptyPiece):
         validate_certificate(g, PieceCertificate(PieceKind.PATH, "cover",
                                                  ((0, 1, 2, 3), ()), False, 1))
-    # a vertex that is not an int, or a mode that is neither "cover" nor
-    # "partition", gives False too
+    # a vertex that is not an int, a mode that is neither "cover" nor
+    # "partition", or a kind that is no PieceKind, gives False too
     p3 = gen.path(3)
     for pieces in (((0, 1, 2), (1.0,)), (("a",),)):
         odd = PieceCertificate(PieceKind.PATH, "cover", pieces, False, 1)
@@ -102,22 +104,28 @@ def test_validate_certificate_negative():
     banana = PieceCertificate(PieceKind.PATH, "banana", ((0, 1), (1, 2)), False, 1)
     assert not validate_certificate(p3, banana)
     assert validate_certificate(p3, banana._replace(mode="cover"))
+    for pieces in (((0,), (1,), (2,)), ((0, 1, 2),)):
+        star = PieceCertificate("star", "cover", pieces, False, 1)
+        assert not validate_certificate(p3, star)
+        assert validate_certificate(p3, star._replace(kind=PieceKind.SP_ANY))
 
 
 def test_nan_timeout_is_rejected():
     # a NaN deadline compares false everywhere, so the search would never stop
-    with pytest.raises(ValueError):
-        SolveConfig(timeout=float("nan"))
-    assert SolveConfig(timeout=0.5).timeout == 0.5
+    for solve in (min_cover, min_partition):
+        for g in (gen.path(3), Graph(0, ())):
+            with pytest.raises(ValueError, match="timeout must not be NaN"):
+                solve(g, PieceKind.PATH, timeout=float("nan"))
+        assert solve(gen.path(3), PieceKind.PATH, timeout=0.5).optimal
 
 
 def test_timeout_returns_incumbent():
     g = gen.random_connected(12, 0.5, random.Random(3))
-    cert = min_partition(g, PieceKind.SP_ANY, SolveConfig(timeout=0.0))
+    cert = min_partition(g, PieceKind.SP_ANY, timeout=0.0)
     assert not cert.optimal
     assert validate_certificate(g, cert)
     assert cert.lower_bound <= cert.value
-    cert = min_cover(g, PieceKind.SP_ANY, SolveConfig(timeout=0.0))
+    cert = min_cover(g, PieceKind.SP_ANY, timeout=0.0)
     assert not cert.optimal
     assert validate_certificate(g, cert)
 
@@ -144,7 +152,7 @@ def test_timeout_budget_includes_enumeration(monkeypatch, solve):
 
     monkeypatch.setattr(solvers.time, "monotonic", monotonic)
     monkeypatch.setattr(solvers, name, slow_first_step)
-    cert = solve(g, PieceKind.SP_ANY, SolveConfig(timeout=1.0))
+    cert = solve(g, PieceKind.SP_ANY, timeout=1.0)
     # the search stops at its root: one deadline check, no node expanded
     assert late_reads == [10.0]
     assert not cert.optimal
@@ -196,7 +204,7 @@ def test_timeout_returns_best_root_solution(monkeypatch):
         # each clock read advances by one, so the search expands `checks`
         # nodes and times out at the next
         monkeypatch.setattr(solvers.time, "monotonic", count().__next__)
-        return min_partition(g, PieceKind.PATH, SolveConfig(timeout=checks))
+        return min_partition(g, PieceKind.PATH, timeout=checks)
 
     dive, cert = solve(0), solve(6)
     assert not dive.optimal and not cert.optimal
@@ -210,7 +218,7 @@ def test_star_cover_order_30_proven(seed):
     # the search passes each child the budget its node can still use, so
     # subproblems that cannot beat the node's best stop early
     g = gen.random_connected(30, 0.25, random.Random(seed))
-    cert = invariant_value(g, "insc", SolveConfig(timeout=5))
+    cert = invariant_value(g, "insc", timeout=5)
     assert (cert.value, cert.optimal) == (6, True)
     assert validate_certificate(g, cert)
 
@@ -813,7 +821,7 @@ def test_one_piece_branch_is_the_first_candidate_that_holds_u(g):
 @given(small_graphs(max_order=7))
 def test_timeout_answers_bracket_the_optimum(g):
     for name, (kind, mode) in INVARIANT_SPECS.items():
-        cert = invariant_value(g, name, SolveConfig(timeout=0))
+        cert = invariant_value(g, name, timeout=0)
         oracle = (naive.naive_min_cover if mode == "cover"
                   else naive.naive_min_partition)
         best = oracle(g, naive.all_piece_masks(g)[kind])
@@ -907,7 +915,7 @@ def test_caterpillar_star_cover():
 
 def test_large_spider_partition_times_out_with_a_certificate():
     g = gen.generate("sstar:1100")
-    cert = invariant_value(g, "insp", SolveConfig(timeout=1))
+    cert = invariant_value(g, "insp", timeout=1)
     assert validate_certificate(g, cert)
     assert cert.lower_bound <= cert.value
 

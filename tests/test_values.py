@@ -1,6 +1,7 @@
-"""coverlab's value types, NamedTuples and small `graph.Record` classes:
-construction by position and by keyword with defaults, equality and hash
-by value, a `Name(field=value, ...)` repr, frozen fields and pickling."""
+"""coverlab's value types, the NamedTuples and `Graph`, its one
+hand-written value class: construction by position and by keyword with
+defaults, equality and hash by value, a `Name(field=value, ...)` repr,
+frozen fields and pickling."""
 
 import pickle
 
@@ -11,9 +12,8 @@ from coverlab.bounds import BoundValue, Status, SymbolicConstant
 from coverlab.constructive import ConstructionTrace
 from coverlab.errors import IndexOutOfRange
 from coverlab.graph import Graph, PieceKind
-from coverlab.iso import Embedding, ForbiddenFamily
-from coverlab.solvers import (INVARIANT_SPECS, PieceCertificate, SolveConfig,
-                              invariant_value)
+from coverlab.iso import Embedding
+from coverlab.solvers import INVARIANT_SPECS, PieceCertificate, invariant_value
 
 CERT = PieceCertificate(PieceKind.PATH, "cover", ((0, 1, 2),), True, 1)
 NINE = BoundValue(9, Status.TABLE_EXACT)
@@ -31,8 +31,6 @@ VALUES = [
     (ConstructionTrace, {"algorithm": "sp_cover", "n": 4, "intermediate": {"depth": 2},
                          "result": CERT, "claimed_bound": NINE}, 5, {"n": 5}),
     (Graph, {"order": 3, "adj": (2, 5, 2), "label": None}, 2, {"label": "P_3"}),
-    (SolveConfig, {"timeout": None}, 0, {"timeout": 0.5}),
-    (ForbiddenFamily, {"members": (gen.path(4),)}, 1, {"members": (gen.star(3),)}),
 ]
 
 
@@ -77,11 +75,6 @@ def test_record_field_cannot_be_deleted():
 def test_graph_checks_adjacency_length():
     with pytest.raises(IndexOutOfRange):
         Graph(2, (0,))
-
-
-def test_forbidden_family_iterates_its_members():
-    members = (gen.path(4), gen.star(3))
-    assert list(ForbiddenFamily(members)) == list(members)
 
 
 def test_graph_caches_rings_and_components():
