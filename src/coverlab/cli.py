@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import Optional
@@ -100,7 +99,10 @@ def cmd_solve(args) -> int:
     }
     timed_out = False
     values = {}
-    for name in names:
+    # covers first: a partition then finds the longest path among the
+    # maximal paths a cover listed, instead of walking them again; the
+    # report's keys are sorted, so the order shows nowhere
+    for name in sorted(names, key=lambda n: solvers.INVARIANT_SPECS[n][1] != "cover"):
         cert = solvers.invariant_value(g, name, timeout=args.timeout)
         if not solvers.validate_certificate(g, cert):
             raise InternalInvariantBroken(f"{name}: certificate failed validation")
@@ -114,7 +116,7 @@ def cmd_solve(args) -> int:
         }
     checks, chi = verify.cross_checks(g, values)
     report["cross_checks"] = checks if chi is None else {**checks, "chi": chi}
-    _write_out(json.dumps(report, sort_keys=True, indent=2), args.out)
+    _write_out(formats.to_json(report), args.out)
     if timed_out:
         return EXIT_TIMEOUT
     if not all(checks.values()):
@@ -180,7 +182,7 @@ def cmd_convert_cover(args) -> int:
         "mode": out.mode,
         "value": out.value,
     }
-    _write_out(json.dumps(report, sort_keys=True, indent=2), args.out)
+    _write_out(formats.to_json(report), args.out)
     return EXIT_OK if cert.optimal else EXIT_TIMEOUT
 
 

@@ -9,10 +9,9 @@ certificate.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from . import generators as gen
+from . import formats, generators as gen
 from .bounds import BoundValue, Status, nu_value, xi_value
 from .errors import (BadInput, BadParameter, Disconnected, FreenessViolated,
                      IndexOutOfRange, InternalInvariantBroken, PathTooLong,
@@ -54,7 +53,7 @@ class ConstructionTrace(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return formats.to_json(self.to_dict())
 
 
 def _check_free(g: Graph, family: Sequence[Graph]) -> None:

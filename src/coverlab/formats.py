@@ -1,14 +1,70 @@
-"""Graph serialization: graph6 and a plain edge-list format.
+"""Serialization: graph6, a plain edge-list format and the CLI's JSON.
 
 The edge-list format is line-oriented: a header line ``p <order>``
 followed by one ``u v`` line per edge; blank lines and ``#`` comments
-are ignored.
+are ignored.  Each codec takes one Python-level step per line, graph6
+column, edge or JSON container, so its time is linear in its text; the
+characters and bits move in C string, int and binascii operations.
 """
 
 from __future__ import annotations
 
+import binascii
+import json
+import re
+
 from .errors import FormatError
 from .graph import Graph, build_graph
+
+# json.dumps with `indent` set runs json's pure-Python encoder; to_json
+# lays out the same text itself and leaves each scalar to the C one
+_scalar = json.JSONEncoder().encode
+
+
+def to_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte."""
+    out = []
+    _put_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _put_json(obj, nl: str, out: list) -> None:
+    """Append the JSON of obj to out; nl is a newline and the indent of
+    obj's own line.  A report's depth is fixed by the code that builds it."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if set(map(type, obj)) == {int}:  # no bool: json writes true/false
+            out.append("[" + inner + sep.join(map(int.__repr__, obj)) + nl + "]")
+            return
+        lead = "[" + inner
+        for x in obj:
+            out.append(lead)
+            lead = sep
+            _put_json(x, inner, out)
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        lead = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = _scalar(key)  # json quotes the scalar: "1", "true"
+            out.append(lead + _scalar(key) + ": ")
+            lead = sep
+            _put_json(value, inner, out)
+        out.append(nl + "}")
+    else:
+        out.append(_scalar(obj))
 
 
 def _g6_encode_order(n: int) -> str:
@@ -45,22 +101,25 @@ def _g6_decode_order(s: str) -> tuple[int, int]:
     return n, skip + width
 
 
+# graph6 packs six bits into each character chr(63 + x), as base64 packs
+# them into its alphabet: the codec runs through binascii and translates
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64, _G6)
+_G6_TO_B64 = bytes.maketrans(_G6, _B64)
+_G6_BAD = re.compile(r"[^?-~]")
+
+
 def to_graph6(g: Graph) -> str:
-    out = [_g6_encode_order(g.order)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.order):
-        for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    # column j holds the bits of j's neighbours i < j, in ascending i
+    adj = g.adj
+    bitstr = "".join([format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                      for j in range(1, g.order)])
+    nbits = len(bitstr)
+    pad = -nbits % 24
+    raw = (int(bitstr or "0", 2) << pad).to_bytes((nbits + pad) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+    return _g6_encode_order(g.order) + body[:(nbits + 5) // 6].decode("ascii")
 
 
 def from_graph6(s: str) -> Graph:
@@ -73,19 +132,22 @@ def from_graph6(s: str) -> Graph:
     if len(body) != need:
         raise FormatError(
             f"graph6 body length {len(body)} does not match order {n}")
-    edges = []
-    for ch in body:
-        c = ord(ch) - 63
-        if not 0 <= c <= 63:
-            raise FormatError(f"bad graph6 character {ch!r}")
-    k = 0
+    bad = _G6_BAD.search(body)
+    if bad:
+        raise FormatError(f"bad graph6 character {bad.group()!r}")
+    raw = binascii.a2b_base64(body.encode("ascii").translate(_G6_TO_B64)
+                              + b"A" * (-len(body) % 4))
+    bitstr = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            ch = ord(body[k // 6]) - 63
-            if ch >> (5 - k % 6) & 1:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+        off = j * (j - 1) // 2
+        lower = int(bitstr[off:off + j][::-1], 2)
+        rows[j] |= lower
+        while lower:
+            low = lower & -lower
+            rows[low.bit_length() - 1] |= 1 << j
+            lower ^= low
+    return Graph(n, tuple(rows))
 
 
 def to_edge_list(g: Graph) -> str:
@@ -97,11 +159,18 @@ def to_edge_list(g: Graph) -> str:
 def from_edge_list(text: str) -> Graph:
     order = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         parts = line.split()
+        if len(parts) == 2 and order is not None and parts[0] != "p":
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad vertex index") from None
+            continue
+        if not parts:
+            continue
         if parts[0] == "p":
             if order is not None:
                 raise FormatError(f"line {lineno}: duplicate header")
@@ -114,13 +183,7 @@ def from_edge_list(text: str) -> Graph:
             continue
         if order is None:
             raise FormatError(f"line {lineno}: edge before 'p' header")
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad vertex index") from None
-        edges.append((u, v))
+        raise FormatError(f"line {lineno}: expected 'u v'")
     if order is None:
         raise FormatError("missing 'p <order>' header")
     try:

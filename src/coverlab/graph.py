@@ -83,9 +83,12 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
-        for u in range(self.order):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            out.extend((u, v) for v in bits(m))
+        for u, row in enumerate(self.adj):
+            m = row >> u + 1  # bit k stands for the neighbour u + 1 + k
+            while m:
+                low = m & -m
+                out.append((u, u + low.bit_length()))
+                m ^= low
         return out
 
     def edge_count(self) -> int:

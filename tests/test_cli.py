@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coverlab
-from coverlab import bounds, cli, formats, generators as gen, verify
+from coverlab import bounds, cli, formats, generators as gen, solvers, verify
 from coverlab.formats import from_edge_list, from_graph6
 from coverlab.graph import PieceKind
 
@@ -143,6 +143,58 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
     out_file = tmp_path / "out.txt"
     assert run(capsys, *argv, "--out", str(out_file)) == (code, "", "")
     assert out_file.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("spec, argv", [
+    ("p:6", ["solve", "{g}", "--invariants", ",".join(solvers.INVARIANT_SPECS)]),
+    ("c:7", ["solve", "{g}", "--invariants", ",".join(solvers.INVARIANT_SPECS)]),
+    ("star:4", ["convert-cover", "{g}", "--to", "star", "--n", "3"]),
+    ("c:7", ["convert-cover", "{g}", "--to", "path", "--n", "4"]),
+    ("c:12", ["construct", "{g}", "--mode", "cover", "--n", "4"]),
+    ("c:12", ["construct", "{g}", "--mode", "partition", "--n", "4"]),
+    ("p:200", ["construct", "{g}", "--mode", "cover", "--n", "4"]),
+    ("p:200", ["construct", "{g}", "--mode", "partition", "--n", "5"]),
+], ids=lambda x: x if isinstance(x, str) else " ".join(a for a in x if a != "{g}"))
+def test_json_reports_equal_json_dumps(tmp_path, capsys, monkeypatch, spec, argv):
+    # every JSON report goes through formats.to_json, which must write
+    # json.dumps(..., sort_keys=True, indent=2) byte for byte
+    graph = tmp_path / "g.txt"
+    run(capsys, "gen", spec, "--out", str(graph))
+    real, reports = formats.to_json, []
+
+    def spy(obj):
+        reports.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(formats, "to_json", spy)
+    code, out, _ = run(capsys, *[arg.format(g=graph) for arg in argv])
+    assert code == 0 and len(reports) == 1
+    assert out == json.dumps(reports[0], sort_keys=True, indent=2) + "\n"
+    if argv[0] == "construct":
+        branch = "long" if spec == "p:200" else "small_diameter"
+        assert reports[0]["intermediate"]["branch"] == branch
+
+
+def test_solve_lists_the_maximal_paths_once_in_any_order(tmp_path, capsys, monkeypatch):
+    # the cover runs first, so the partition reads the longest path off
+    # the maximal paths instead of walking them again
+    graph = tmp_path / "k40.txt"
+    run(capsys, "gen", "complete:40", "--out", str(graph))
+    real, calls = solvers._paths_at, []
+
+    def counted(h, within, v, ring, maximal):
+        calls.append((v, ring is None and maximal))
+        return real(h, within, v, ring, maximal)
+
+    monkeypatch.setattr(solvers, "_paths_at", counted)
+    seen = []
+    for order in ("inspp,inspc", "inspc,inspp"):
+        calls.clear()
+        code, out, _ = run(capsys, "solve", str(graph), "--invariants", order)
+        assert code == 0
+        assert [v for v, walk in calls if walk] == list(range(40))
+        seen.append((out, len(calls)))
+    assert seen[0] == seen[1]
 
 
 def test_check_free_long_path(tmp_path, capsys):
