@@ -73,9 +73,6 @@ def _finish(g: Graph, domain: int, algorithm: str, n: int,
         raise InternalInvariantBroken(f"{algorithm}: {fault}")
     pieces = tuple(tuple(bits(m)) for m in masks)
     cert = PieceCertificate(kind, mode, pieces, False, 1 if domain else 0)
-    if claimed.value is not None and cert.value > claimed.value:
-        raise InternalInvariantBroken(
-            f"{algorithm}: size {cert.value} exceeds claimed bound {claimed.value}")
     return ConstructionTrace(algorithm, n, intermediate, cert, claimed)
 
 
@@ -123,14 +120,44 @@ def _least_neighbour_buckets(g: Graph, members: int, owners: int) -> dict[int, i
     return buckets
 
 
-def star_partition_neighborhood(g: Graph, x: int, X: Iterable[int], n: int,
-                                precheck: bool = True) -> ConstructionTrace:
-    """Partition {x} ∪ X into induced stars, X inside the neighborhood of x.
+def _neighbourhood_stars(g: Graph, x: int, X_mask: int, n: int,
+                         xi: int) -> tuple[list[int], int]:
+    """Partition {x} ∪ X_mask, X_mask inside N(x), into induced stars by
+    the block recursion; returns the star masks and the stage count.
 
-    Runs the block recursion: each block has an apex adjacent to all of
-    it; a maximal independent set minus a minimal dominating subset
-    forms the apex's star, and each dominating vertex becomes the apex
-    of a next-stage block.  A vertex outside V(G) raises IndexOutOfRange.
+    Each block has an apex adjacent to all of it; a maximal independent
+    set minus a minimal dominating subset forms the apex's star, and
+    each dominating vertex becomes the apex of a next-stage block.  More
+    than n - 2 stages or `xi` stars raise InternalInvariantBroken.
+    """
+    stars: list[int] = []
+    blocks = [(x, X_mask)]
+    depth = 0
+    while blocks:
+        depth += 1
+        next_blocks: list[tuple[int, int]] = []
+        for apex, Y in blocks:
+            J = _greedy_max_independent(g, Y)
+            rest = Y & ~J
+            I = _minimal_dominating_subset(g, J, rest) if rest else 0
+            stars.append(1 << apex | (J & ~I))
+            next_blocks.extend(_least_neighbour_buckets(g, rest, I).items())
+        blocks = next_blocks
+    if depth > n - 2:
+        raise InternalInvariantBroken(
+            f"neighborhood recursion depth {depth} exceeds {n - 2}")
+    if len(stars) > xi:
+        raise InternalInvariantBroken(
+            f"star_partition_neighborhood: size {len(stars)} exceeds claimed bound {xi}")
+    return stars, depth
+
+
+def star_partition_neighborhood(g: Graph, x: int, X: Iterable[int],
+                                n: int) -> ConstructionTrace:
+    """Partition {x} ∪ X into induced stars, X inside the neighborhood of
+    x, by `_neighbourhood_stars` on a graph free of K_n and S~_n.
+
+    A vertex outside V(G) raises IndexOutOfRange.
     """
     if n < 3:
         raise BadParameter("n >= 3 required")
@@ -138,42 +165,14 @@ def star_partition_neighborhood(g: Graph, x: int, X: Iterable[int], n: int,
     for v in (x, *X):
         if not 0 <= v < g.order:
             raise IndexOutOfRange(f"vertex {v} outside [0,{g.order})")
-    x_mask = 1 << x
     X_mask = mask_of(X)
     if X_mask & ~g.adj[x]:
         raise BadInput("X must be a subset of the neighborhood of x")
-    if precheck:
-        _check_free(g, (gen.complete(n), gen.s_tilde(n)))
-    stages: list[list[dict]] = []
-    stars: list[int] = []
-    blocks = [(x, X_mask)]
-    while blocks:
-        stage_log = []
-        next_blocks: list[tuple[int, int]] = []
-        for apex, Y in blocks:
-            J = _greedy_max_independent(g, Y)
-            rest = Y & ~J
-            I = _minimal_dominating_subset(g, J, rest) if rest else 0
-            star = 1 << apex | (J & ~I)
-            stars.append(star)
-            next_blocks.extend(_least_neighbour_buckets(g, rest, I).items())
-            stage_log.append({
-                "apex": apex,
-                "block": list(bits(Y)),
-                "independent": list(bits(J)),
-                "dominating": list(bits(I)),
-                "star": list(bits(star)),
-            })
-        stages.append(stage_log)
-        blocks = next_blocks
-    depth = len(stages)
-    if depth > n - 2:
-        raise InternalInvariantBroken(
-            f"neighborhood recursion depth {depth} exceeds {n - 2}")
+    _check_free(g, (gen.complete(n), gen.s_tilde(n)))
     claimed = xi_value(n, n - 2)
-    intermediate = {"stages": stages, "depth": depth}
-    return _finish(g, x_mask | X_mask, "star_partition_neighborhood", n,
-                   intermediate, PieceKind.STAR, "partition", stars, claimed)
+    stars, depth = _neighbourhood_stars(g, x, X_mask, n, claimed.value)
+    return _finish(g, 1 << x | X_mask, "star_partition_neighborhood", n,
+                   {"depth": depth}, PieceKind.STAR, "partition", stars, claimed)
 
 
 # -- bounded-diameter star cover / partition ---------------------------
@@ -233,14 +232,13 @@ def insp_bounded(h: Graph, n: int, precheck: bool = True) -> ConstructionTrace:
     """Induced star partition: dominator buckets refined by the
     neighborhood star-partition recursion."""
     U, buckets = _dominator_buckets(h, n, precheck, gen.s_tilde)
+    xi = xi_value(n, n - 2).value
     stars: list[int] = []
     sub_traces = []
     for x in U:
-        t = star_partition_neighborhood(h, x, bits(buckets[x]), n,
-                                        precheck=False)
-        stars.extend(mask_of(p) for p in t.result.pieces)
-        sub_traces.append({"center": x, "size": t.result.value,
-                           "depth": t.intermediate["depth"]})
+        got, depth = _neighbourhood_stars(h, x, buckets[x], n, xi)
+        stars.extend(got)
+        sub_traces.append({"center": x, "size": len(got), "depth": depth})
     claimed = BoundValue(None, Status.UPPER_BOUND_ONLY,
                          note="bound component not materialized")
     intermediate = {"dominating_set": list(U), "buckets": sub_traces,

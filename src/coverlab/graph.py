@@ -175,7 +175,7 @@ def distance_rings(g: Graph, root: int) -> tuple[int, ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.order <= 1 or sum(distance_rings(g, 0)) == g.full_mask
+    return len(g.components) <= 1
 
 
 def is_independent(g: Graph, mask: int) -> bool:

@@ -618,8 +618,6 @@ def clique_number(g: Graph) -> int:
 
 def chromatic_coloring(g: Graph) -> list[int]:
     """An optimal proper coloring as a list of color-class masks."""
-    if g.order == 0:
-        return []
     order = g.by_degree
     lo = clique_number(g)
 

@@ -6,12 +6,13 @@ import pytest
 
 import coverlab.cli  # noqa: F401  -- loads every module a tracer wraps
 from coverlab import constructive, generators as gen
-from coverlab.bounds import BoundValue, Status, nu_value
+from coverlab.bounds import BoundValue, Status, nu_value, xi_value
 from coverlab.constructive import (_LayeredState, _band_segments,
                                    _build_q_paths, _check_q_claims,
                                    _closed_neighbourhood, _finish,
-                                   _forest_blocks, _slices, _stages,
-                                   _woven_paths,
+                                   _forest_blocks, _minimal_dominating_subset,
+                                   _neighbourhood_stars, _slices, _stages,
+                                   _star_blocks, _woven_paths,
                                    cover_to_path_cover, cover_to_star_cover,
                                    insc_bounded, insp_bounded,
                                    sp_cover_construct, sp_partition_construct,
@@ -156,14 +157,50 @@ def assert_sp_trace_valid(g, trace, partition):
      "pieces miss part of the domain"),
     (0b0111, PieceKind.PATH, "cover", [0b0011, 0b1100], None,
      "a piece leaves the domain"),
-    (0b1111, PieceKind.PATH, "partition", [0b0011, 0b1100], 1,
-     "size 2 exceeds claimed bound 1"),
 ])
 def test_finish_messages(domain, kind, mode, masks, claimed, message):
     bound = BoundValue(claimed, Status.EXACT if claimed else Status.UPPER_BOUND_ONLY)
     with pytest.raises(InternalInvariantBroken) as err:
         _finish(gen.path(4), domain, "alg", 4, {}, kind, mode, masks, bound)
     assert str(err.value) == f"alg: {message}"
+
+
+def test_neighbourhood_stars_reject_a_recursion_deeper_than_n_minus_2():
+    # the public routine's precheck rejects the K_3 first
+    g = gen.complete(3)
+    with pytest.raises(InternalInvariantBroken,
+                       match="^neighborhood recursion depth 2 exceeds 1$"):
+        _neighbourhood_stars(g, 0, 0b110, 3, xi_value(3, 1).value)
+
+
+def test_neighbourhood_stars_reject_more_stars_than_xi():
+    # two stages at n = 4 give the stars {0} and {1, 2}
+    g = gen.complete(3)
+    assert _neighbourhood_stars(g, 0, 0b110, 4, 2) == ([0b001, 0b110], 2)
+    with pytest.raises(InternalInvariantBroken) as err:
+        _neighbourhood_stars(g, 0, 0b110, 4, 1)
+    assert str(err.value) == "star_partition_neighborhood: size 2 exceeds claimed bound 1"
+
+
+def test_insp_bounded_computes_xi_once_and_validates_once(monkeypatch):
+    calls = {"xi_value": 0, "_finish": 0}
+    for name in calls:
+        real = getattr(constructive, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(constructive, name, counted)
+    t = insp_bounded(gen.path(7), 4)
+    assert len(t.intermediate["dominating_set"]) == 3
+    assert calls == {"xi_value": 1, "_finish": 1}
+
+
+def test_minimal_dominating_subset_rejects_candidates_that_miss_a_target():
+    with pytest.raises(InternalInvariantBroken,
+                       match="^maximal independent set fails to dominate$"):
+        _minimal_dominating_subset(gen.path(3), 0b001, 0b100)
 
 
 def test_long_branch_on_paths():
@@ -602,6 +639,20 @@ def test_q_claims_check_the_pinned_neighbours(pinned):
     with pytest.raises(InternalInvariantBroken,
                        match="^layer vertex near a Q-path misses its pinned neighbors$"):
         _check_q_claims(st)
+
+
+def test_star_blocks_check_the_block_count_and_the_eccentricity():
+    # layers 0..3 form one forest component, of eccentricity 3 from the root
+    st = two_path_state([(7, 1)])
+    with pytest.raises(InternalInvariantBroken,
+                       match="^1 forest components exceed the bound 0$"):
+        _star_blocks(st, 0, 3, insp_bounded, 3, 0)
+    with pytest.raises(InternalInvariantBroken,
+                       match="^component eccentricity 3 exceeds 0$"):
+        _star_blocks(st, 0, 3, insp_bounded, 0, None)
+    # at the bounds themselves it partitions the block into stars
+    assert _star_blocks(st, 0, 3, insp_bounded, 3, 1) == [
+        mask_of([0, 1, 7]), mask_of([2, 3]), mask_of([4, 5, 6])]
 
 
 def test_band_segments_reject_a_band_vertex_off_the_q_paths():

@@ -177,8 +177,9 @@ def test_partitions_enumerate_no_maximal_pieces(monkeypatch):
 
 def test_distance_rings_built_once_per_graph(monkeypatch):
     # ispp needs g's distance rings for its largest piece size and for
-    # the pieces through every least vertex: one BFS per vertex in all,
-    # and one more for `Graph.components` of the connected g
+    # the pieces through every least vertex: one BFS per vertex in all.
+    # `Graph.components` runs none here: `random_connected` built it when
+    # it checked that the sample is connected
     g = gen.random_connected(14, 0.3, random.Random(5))
     real, calls = graph.distance_rings, []
 
@@ -194,7 +195,7 @@ def test_distance_rings_built_once_per_graph(monkeypatch):
     # BFS of its own, stopped at the path's length
     cert = invariant_value(g, "ispp")
     assert cert.optimal and validate_certificate(g, cert)
-    assert len(calls) == g.order + 1
+    assert len(calls) == g.order
 
 
 def test_timeout_returns_best_root_solution(monkeypatch):
