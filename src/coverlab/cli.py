@@ -98,7 +98,7 @@ def cmd_solve(args) -> int:
         "invariants": {},
     }
     timed_out = False
-    values = {}
+    certs = {}
     # covers first: a partition then finds the longest path among the
     # maximal paths a cover listed, instead of walking them again; the
     # report's keys are sorted, so the order shows nowhere
@@ -107,14 +107,14 @@ def cmd_solve(args) -> int:
         if not solvers.validate_certificate(g, cert):
             raise InternalInvariantBroken(f"{name}: certificate failed validation")
         timed_out |= not cert.optimal
-        values[name] = cert.value
+        certs[name] = cert
         report["invariants"][name] = {
             "value": cert.value,
             "optimal": cert.optimal,
             "lower_bound": cert.lower_bound,
             "pieces": [list(p) for p in cert.pieces],
         }
-    checks, chi = verify.cross_checks(g, values)
+    checks, chi = verify.cross_checks(g, certs)
     report["cross_checks"] = checks if chi is None else {**checks, "chi": chi}
     _write_out(formats.to_json(report), args.out)
     if timed_out:

@@ -570,7 +570,7 @@ def _keep_kind(g: Graph, cert: PieceCertificate, keep: PieceKind, n: int,
     raises `too_big(its size)` instead."""
     if n < 1:
         raise BadParameter(f"n >= 1 required, got {n}")
-    limit = n - 1 if keep is PieceKind.STAR else n + 1
+    limit = n - 1 if keep is PieceKind.STAR else n
     if not validate_certificate(g, cert):
         raise BadInput("certificate does not validate")
     out: list[tuple[int, ...]] = []

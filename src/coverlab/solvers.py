@@ -204,10 +204,10 @@ def _maximal_stars(g: Graph) -> frozenset[int]:
     return frozenset(out)
 
 
-def _paths_at(g: Graph, within: int, v: int,
+def _paths_at(g: Graph, v: int,
               ring: Optional[Sequence[Sequence[int]]], maximal: bool) -> list[int]:
-    """The induced paths inside `within` that contain v, each once, or
-    with `maximal` only those that extend at neither end in g.  Given g's
+    """The induced paths whose least vertex is v, each once, or with
+    `maximal` only those that extend at neither end in g.  Given g's
     distance rings, only the isometric paths.
 
     A path through v is a left arm from v, then a right arm from v.  The
@@ -221,7 +221,7 @@ def _paths_at(g: Graph, within: int, v: int,
     lies in a larger one of its kind only as a contiguous segment, so it
     is maximal when it grows at neither end in g.
     """
-    adj = g.adj
+    adj, within = g.adj, g.full_mask >> v << v
     out = [] if maximal and adj[v] else [1 << v]
     stack = [(w, v, 1 << v | 1 << w, 0, w) for w in bits(adj[v] & within)]
     # extension masks are walked lowest bit first, inline, so that no
@@ -253,29 +253,27 @@ def _paths_at(g: Graph, within: int, v: int,
 
 @_per_graph
 def _maximal_paths(g: Graph) -> tuple[int, ...]:
-    """The maximal induced paths, from the walks `_paths_at(g, V>=v, v,
-    None, True)` over all v: each path once, from its least vertex.
-    Listed once per graph, for `inpc` and `inspc` both."""
-    full = g.full_mask
-    return tuple(m for v in range(g.order)
-                 for m in _paths_at(g, full >> v << v, v, None, True))
+    """The maximal induced paths, from the walks `_paths_at(g, v, None,
+    True)` over all v: each path once, from its least vertex.  Listed
+    once per graph, for `inpc` and `inspc` both."""
+    return tuple(m for v in range(g.order) for m in _paths_at(g, v, None, True))
 
 
 @_per_graph
 def _longest_path(g: Graph) -> int:
     """The order of a longest induced path, found once per graph, for
     `inpp` and `inspp` both.  It is maximal, so when g already holds its
-    maximal paths it is the largest of them.  Else: it lies inside V>=v
-    for its least vertex v, so it is among the maximal paths that
-    `_paths_at` walks from v; the walks stop once no n - v vertices left
-    could hold a longer one, and are not kept."""
+    maximal paths it is the largest of them.  Else: it is among the
+    maximal paths that `_paths_at` walks from its least vertex v; the
+    walks stop once no n - v vertices left could hold a longer one, and
+    are not kept."""
     if _maximal_paths.key in g.__dict__:
         return max(map(int.bit_count, _maximal_paths(g)), default=0)
-    best, full = 0, g.full_mask
+    best = 0
     for v in range(g.order):
         if best >= g.order - v:
             break
-        maximal = _paths_at(g, full >> v << v, v, None, True)
+        maximal = _paths_at(g, v, None, True)
         best = max([best, *map(int.bit_count, maximal)])
     return best
 
@@ -294,9 +292,8 @@ def enumerate_maximal_pieces(g: Graph, kind: PieceKind) -> list[int]:
     if kind is PieceKind.STAR:
         cand: Iterable[int] = _maximal_stars(g)
     elif kind is PieceKind.ISOMETRIC_PATH:
-        # each path is walked once: from its least vertex v, inside V>=v
-        cand = [m for v in range(g.order)
-                for m in _paths_at(g, g.full_mask >> v << v, v, g.rings, True)]
+        # each path is walked once: from its least vertex
+        cand = [m for v in range(g.order) for m in _paths_at(g, v, g.rings, True)]
     else:
         cand = _maximal_paths(g)
     if kind is PieceKind.SP_ANY:
@@ -313,15 +310,16 @@ def _largest_first(masks: Iterable[int]) -> list[int]:
     return sorted(sorted(masks), key=int.bit_count, reverse=True)
 
 
-def _star_masks_at(g: Graph, within: int, v: int, size: int) -> list[int]:
-    """The star vertex sets of `size` vertices containing v inside
-    `within`, each once.
+def _star_masks_at(g: Graph, v: int, size: int) -> list[int]:
+    """The star vertex sets of `size` vertices whose least vertex is v,
+    each once.
 
     v is the centre with independent leaves in its neighbourhood, or a
     leaf of a centre c with further leaves that do not see v.  A star of
     two vertices has both as centres, so it is listed with v as one; a
     larger star has one centre.
     """
+    within = g.full_mask >> v << v
     near = g.adj[v] & within
     out = [1 << v | leaves for leaves in _independent_subsets(g, near, size - 1)]
     if size <= 2:
@@ -333,17 +331,16 @@ def _star_masks_at(g: Graph, within: int, v: int, size: int) -> list[int]:
     return out
 
 
-def pieces_at(g: Graph, within: int, v: int, kind: PieceKind,
+def pieces_at(g: Graph, v: int, kind: PieceKind,
               size: Optional[int] = None) -> list[int]:
-    """The pieces containing v inside `within`: for `STAR`, those of
-    `size` vertices, sorted by mask; for a path kind, with no `size`,
-    all of them, sorted by (-size, mask).  Any other call raises
-    ValueError."""
+    """The pieces whose least vertex is v: for `STAR`, those of `size`
+    vertices, sorted by mask; for a path kind, with no `size`, all of
+    them, sorted by (-size, mask).  Any other call raises ValueError."""
     if kind is PieceKind.STAR and size is not None:
-        return sorted(_star_masks_at(g, within, v, size))
+        return sorted(_star_masks_at(g, v, size))
     if (kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH) and size is None:
         ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
-        return _largest_first(_paths_at(g, within, v, ring, False))
+        return _largest_first(_paths_at(g, v, ring, False))
     raise ValueError(f"pieces_at lists stars by size and paths unsized, not "
                      f"{kind!r} with size {size!r}")
 
@@ -419,16 +416,15 @@ def _search(full: int, max_size: int, branch: Callable[[int, bool], Iterable[int
                     memo[u] = answer = best, pieces
 
 
-def _cover_branch(order: int, pieces: Sequence[int],
-                  comps: Sequence[int]) -> Callable[[int, bool], list[int]]:
-    """A cover's branch over `pieces`, sorted by (-size, mask), for a u
-    inside one of the components `comps`: the vertex of u in the fewest
-    pieces, ties by label, and its pieces, most vertices of u first; or,
+def _cover_branch(g: Graph, pieces: Sequence[int]) -> Callable[[int, bool], list[int]]:
+    """A cover's branch over `pieces` of g, sorted by (-size, mask), for a
+    u inside one component of g: the vertex of u in the fewest pieces,
+    ties by label, and its pieces, most vertices of u first; or,
     when only one piece could do, the first of them that holds all of u,
     if any, which is where the sort would put it."""
     # each list keeps the (-size, mask) order of `pieces`; a piece's bits
     # are walked inline, so the build is linear in the total piece size
-    by_vertex: list[list[int]] = [[] for _ in range(order)]
+    by_vertex: list[list[int]] = [[] for _ in range(g.order)]
     for m in pieces:
         rest = m
         while rest:
@@ -437,8 +433,8 @@ def _cover_branch(order: int, pieces: Sequence[int],
             rest ^= low
     # fewest[w]: the vertices of w's component by count, ties by label,
     # so a node scans only its own component's
-    fewest: list[list[int]] = [[]] * order
-    for comp in comps:
+    fewest: list[list[int]] = [[]] * g.order
+    for comp in g.components:
         ranked = sorted(bits(comp), key=lambda w: len(by_vertex[w]))
         for w in ranked:
             fewest[w] = ranked
@@ -459,10 +455,9 @@ def _partition_branch(
     """A partition's largest piece size, with no maximal pieces: the
     largest star, the longest induced path or one more than the largest
     component diameter; and its branch on the least vertex v of u, whose
-    pieces are those of `kind` through v inside V>=v that lie inside u.
+    pieces are those of `kind` whose least vertex is v that lie inside u.
     All nodes share v's pieces, which `_piece_classes` lists one class at
     a time, only as far as a node reads them."""
-    longest_path = 0
     if kind is PieceKind.ISOMETRIC_PATH:
         # rings[v] holds ecc(v) + 2 rings, the last one empty; a longest
         # geodesic has one vertex more than a component's largest ecc
@@ -472,10 +467,7 @@ def _partition_branch(
     else:
         max_size = _largest_star(g)
         if kind is PieceKind.SP_ANY:
-            # `_piece_classes` takes every piece of up to three vertices
-            # from the paths, so it walks them from there
-            path = _longest_path(g)
-            max_size, longest_path = max(max_size, path), max(path, 3)
+            max_size = max(max_size, _longest_path(g))
     # v -> a tee of v's pieces that is never advanced: each node reads a
     # copy of it from the start (its own `__copy__` takes a sixth of the
     # time of `copy.copy`), and the first copy to read past the pieces
@@ -486,42 +478,44 @@ def _partition_branch(
         # largest first already: a node that wants one piece reads one
         v = (u & -u).bit_length() - 1
         if v not in at:
-            at[v] = tee(chain.from_iterable(_piece_classes(
-                g, g.full_mask >> v << v, v, kind, max_size, longest_path)))[0]
+            at[v] = tee(chain.from_iterable(_piece_classes(g, v, kind, max_size)))[0]
         return (m for m in at[v].__copy__() if m & u == m)
     return max_size, branch
 
 
-def _piece_classes(g: Graph, within: int, v: int, kind: PieceKind,
-                   max_size: int, longest_path: int) -> Iterator[list[int]]:
-    """The pieces of `kind` through v inside `within`, in classes that
-    follow one another in (-size, mask) order: a path kind's all in one.
+def _piece_classes(g: Graph, v: int, kind: PieceKind,
+                   max_size: int) -> Iterator[list[int]]:
+    """The pieces of `kind` whose least vertex is v, in classes of at
+    most `max_size` vertices that follow one another in (-size, mask)
+    order: a path kind's all in one.
 
     Stars come one size class at a time, largest first, each sorted by
     mask and from its own `pieces_at` call, made when the class before
-    it has been read; with a positive `longest_path`, merged with the
-    induced paths through v.  A star through v has its centre in N[v],
-    so its order is at most one more than the most neighbours such a
-    centre has inside `within`.  The paths are walked in one `pieces_at`
-    call, made when the first class of at most `longest_path` vertices
-    is read: no induced path is longer.
+    it has been read; for `SP_ANY`, merged with the induced paths from
+    v, which give every piece of up to three vertices.  A star whose
+    least vertex is v has its centre in N[v], so its order is at most
+    one more than the most neighbours such a centre has in V>=v.  The
+    paths are walked in one `pieces_at` call, made when the first class
+    no longer than a longest induced path is read.
     """
     if kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH:
-        yield pieces_at(g, within, v, kind)
+        yield pieces_at(g, v, kind)
         return
+    within = g.full_mask >> v << v
+    longest_path = max(_longest_path(g), 3) if kind is PieceKind.SP_ANY else 0
     top = min(max_size, 1 + max((g.adj[c] & within).bit_count()
                                 for c in bits(within & (g.adj[v] | 1 << v))))
     paths: Optional[dict[int, list[int]]] = None
     for k in range(max(top, longest_path), 0, -1):
         if k <= longest_path and paths is None:
             paths = {}
-            for m in pieces_at(g, within, v, PieceKind.PATH):
+            for m in pieces_at(g, v, PieceKind.PATH):
                 paths.setdefault(m.bit_count(), []).append(m)
         if paths is not None and k <= 3:
             # stars of up to three vertices are paths: list the rest at once
             yield [m for j in (3, 2, 1) for m in paths.get(j, ())]
             return
-        cls = pieces_at(g, within, v, PieceKind.STAR, k) if k <= top else []
+        cls = pieces_at(g, v, PieceKind.STAR, k) if k <= top else []
         if paths is not None and k in paths:
             # a path of four or more vertices is no star
             cls = sorted(cls + paths[k])
@@ -547,7 +541,7 @@ def _solve(g: Graph, kind: PieceKind, mode: str,
     if mode == "cover":
         pieces = enumerate_maximal_pieces(g, kind)
         max_size = pieces[0].bit_count()
-        branch = _cover_branch(g.order, pieces, g.components)
+        branch = _cover_branch(g, pieces)
     else:
         max_size, branch = _partition_branch(g, kind)
     bound, masks, optimal = 0, [], True
@@ -680,5 +674,5 @@ def min_dominating_set(g: Graph) -> list[int]:
         for w in bits(g.adj[v]))}
     pieces = _largest_first(owner)
     masks = _search(g.full_mask, pieces[0].bit_count(),
-                    _cover_branch(g.order, pieces, (g.full_mask,)), math.inf)[1]
+                    _cover_branch(g, pieces), math.inf)[1]
     return sorted(owner[m] for m in masks)

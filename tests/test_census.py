@@ -28,15 +28,15 @@ def assert_census(g: Graph) -> None:
     """All eight invariants of g equal the oracles', with valid optimal
     certificates, and their cross-checks hold."""
     pieces = naive.all_piece_masks(g)
-    values = {}
+    certs = {}
     for name, (kind, mode) in INVARIANT_SPECS.items():
         cert = invariant_value(g, name)
         oracle = naive.naive_min_cover if mode == "cover" else naive.naive_min_partition
         assert cert.value == oracle(g, pieces[kind]), name
         assert cert.optimal and cert.lower_bound == cert.value, name
         assert validate_certificate(g, cert), name
-        values[name] = cert.value
-    checks, _ = verify.cross_checks(g, values)
+        certs[name] = cert
+    checks, _ = verify.cross_checks(g, certs)
     assert all(checks.values()), checks
 
 

@@ -182,9 +182,9 @@ def test_solve_lists_the_maximal_paths_once_in_any_order(tmp_path, capsys, monke
     run(capsys, "gen", "complete:40", "--out", str(graph))
     real, calls = solvers._paths_at, []
 
-    def counted(h, within, v, ring, maximal):
+    def counted(h, v, ring, maximal):
         calls.append((v, ring is None and maximal))
-        return real(h, within, v, ring, maximal)
+        return real(h, v, ring, maximal)
 
     monkeypatch.setattr(solvers, "_paths_at", counted)
     seen = []
@@ -266,6 +266,13 @@ def test_convert_cover(tmp_path, capsys):
     code, _, _ = run(capsys, "convert-cover", str(p9), "--to", "star",
                      "--n", "4")
     assert code == 2  # a 9-vertex path piece cannot become stars at n=4
+    k13 = tmp_path / "k13.txt"
+    run(capsys, "gen", "star:3", "--out", str(k13))
+    code, out, err = run(capsys, "convert-cover", str(k13), "--to", "path",
+                         "--n", "3")
+    assert (code, out) == (2, "")  # K_1,3 is the 3-leaf star itself
+    assert err == ("error: star piece with 4 vertices in a graph meant "
+                   "to have no induced 3-leaf star\n")
 
 
 def test_solve_solves_each_named_invariant_once(tmp_path, monkeypatch, capsys):
@@ -311,11 +318,13 @@ def test_solve_timed_out_answer_exits_3(tmp_path, capsys):
 
 
 def test_solve_failed_cross_check_exits_2(monkeypatch, capsys):
-    # a redundant singleton still makes a valid cover, one piece too many
+    # a redundant singleton still makes a valid cover, one piece too many;
+    # claimed as exact, its lower bound lies above insc's value
     def padded(g, name, timeout, solve=cli.solvers.invariant_value):
         cert = solve(g, name, timeout=timeout)
         if name == "inspc":
-            cert = cert._replace(pieces=cert.pieces + ((0,),))
+            cert = cert._replace(pieces=cert.pieces + ((0,),),
+                                 lower_bound=cert.lower_bound + 1)
         return cert
 
     monkeypatch.setattr(cli.solvers, "invariant_value", padded)
@@ -324,6 +333,37 @@ def test_solve_failed_cross_check_exits_2(monkeypatch, capsys):
     assert code == 2 and err == ""
     checks = json.loads(out)["cross_checks"]
     assert checks == {"inspc<=insc": False, "chi<=2*inspc": True, "chi": 2}
+
+
+def _cert(name, value, lower_bound):
+    kind, mode = solvers.INVARIANT_SPECS[name]
+    return solvers.PieceCertificate(kind, mode, ((0,),) * value,
+                                    value == lower_bound, lower_bound)
+
+
+@pytest.mark.parametrize("lo, hi, holds", [
+    ((7, 6), (6, 6), True),    # a timed-out lo above an exact hi: only a bound
+    ((7, 7), (6, 6), False),   # lo's lower bound above hi's value
+    ((7, 7), (8, 6), True),    # a timed-out hi whose value is above lo's
+    ((9, 8), (7, 5), False),   # both timed out, and the bounds contradict
+], ids=["lo-timed-out", "exact", "hi-timed-out", "both-timed-out"])
+def test_cross_check_fails_only_when_the_numbers_contradict_it(lo, hi, holds):
+    certs = {"insc": _cert("insc", *lo), "insp": _cert("insp", *hi)}
+    assert verify.cross_checks(gen.path(3), certs) == ({"insc<=insp": holds}, None)
+
+
+def test_cross_check_after_a_timeout_still_exits_3(monkeypatch, capsys):
+    # at no time at all insc stops at 7 (bound 6) and insp is exact at 6
+    g = gen.generate("f5:7")
+    monkeypatch.setattr("sys.stdin", io.StringIO(formats.write_graph(g, "edges")))
+    code, out, err = run(capsys, "solve", "-", "--invariants", "insc,insp",
+                         "--timeout", "0")
+    assert code == 3 and err == ""
+    report = json.loads(out)
+    got = {name: (cert["value"], cert["lower_bound"], cert["optimal"])
+           for name, cert in report["invariants"].items()}
+    assert got == {"insc": (7, 6, False), "insp": (6, 6, True)}
+    assert report["cross_checks"] == {"insc<=insp": True}
 
 
 @pytest.mark.parametrize("command", ["solve", "convert-cover"])

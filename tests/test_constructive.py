@@ -298,11 +298,14 @@ def test_cover_to_path_cover():
 
 
 def test_cover_to_path_cover_star_too_large():
-    g = gen.star(5)
-    cert = PieceCertificate(PieceKind.SP_ANY, "cover",
-                            (tuple(range(6)),), False, 1)
-    with pytest.raises(StarTooLarge):
-        cover_to_path_cover(g, cert, 4)
+    # K_1,k has k + 1 vertices: a graph free of induced 4-leaf stars holds
+    # none with k >= 4
+    for k in (5, 4):
+        g = gen.star(k)
+        cert = PieceCertificate(PieceKind.SP_ANY, "cover",
+                                (tuple(range(k + 1)),), False, 1)
+        with pytest.raises(StarTooLarge, match=f"star piece with {k + 1} vertices"):
+            cover_to_path_cover(g, cert, 4)
 
 
 def test_conversion_rejects_invalid_certificate():

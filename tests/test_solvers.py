@@ -249,13 +249,15 @@ def check_maximal_pieces(g):
             pairs = list(zip_longest(branch(g.full_mask >> v << v, False),
                                      branch(g.full_mask >> v << v, False)))
             assert [a for a, _ in pairs] == [b for _, b in pairs] == at, (kind, v)
-    # the path walker reaches each path through v once, in one orientation,
-    # and with `maximal` keeps those that grow at neither end in g
+    # the path walker reaches each path whose least vertex is v once, in
+    # one orientation, and with `maximal` keeps those that grow at neither
+    # end in g
     for ring, kind in ((None, PieceKind.PATH), (g.rings, PieceKind.ISOMETRIC_PATH)):
+        shaped = brute_pieces(g, kind)
         for v in range(g.order):
-            paths = solvers._paths_at(g, g.full_mask, v, ring, False)
-            assert len(paths) == len(set(paths)), (kind, v)
-            assert solvers._paths_at(g, g.full_mask, v, ring, True) == [
+            paths = solvers._paths_at(g, v, ring, False)
+            assert sorted(paths) == [m for m in shaped if m & -m == 1 << v], (kind, v)
+            assert solvers._paths_at(g, v, ring, True) == [
                 m for m in paths if not any(
                     piece_shape_mask(g, m | 1 << w, kind)
                     for w in bits(g.full_mask & ~m))], (kind, v)
@@ -311,24 +313,24 @@ def test_maximal_pieces_match_brute_force_random(g):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(small_graphs(), st.data())
-def test_pieces_at_match_brute_force_random_within(g, data):
-    within = data.draw(st.integers(1, g.full_mask))
-    v = data.draw(st.sampled_from(list(bits(within))))
-    for kind in PieceKind.PATH, PieceKind.ISOMETRIC_PATH:
-        assert pieces_at(g, within, v, kind) == by_size(
-            m for m in brute_pieces(g, kind) if m >> v & 1 and m & within == m), kind
-    stars = [m for m in brute_pieces(g, PieceKind.STAR) if m >> v & 1 and m & within == m]
-    for k in range(g.order + 2):
-        raw = solvers._star_masks_at(g, within, v, k)
-        assert len(raw) == len(set(raw)), k
-        assert pieces_at(g, within, v, PieceKind.STAR, k) == sorted(
-            m for m in stars if m.bit_count() == k), k
+def test_pieces_at_match_brute_force_at_every_vertex(g, data):
+    least = {kind: {v: [m for m in brute_pieces(g, kind) if m & -m == 1 << v]
+                    for v in range(g.order)} for kind in PieceKind}
+    for v in range(g.order):
+        for kind in PieceKind.PATH, PieceKind.ISOMETRIC_PATH:
+            assert pieces_at(g, v, kind) == by_size(least[kind][v]), (kind, v)
+        for k in range(g.order + 2):
+            raw = solvers._star_masks_at(g, v, k)
+            assert len(raw) == len(set(raw)), (v, k)
+            assert pieces_at(g, v, PieceKind.STAR, k) == sorted(
+                m for m in least[PieceKind.STAR][v] if m.bit_count() == k), (v, k)
     # the union of stars and paths is read only through the partition branch,
-    # here at a u inside `within` whose least vertex is v
-    u = within >> v << v
+    # here at a random u whose least vertex is v
+    v = data.draw(st.integers(0, g.order - 1))
+    u = (data.draw(st.integers(0, g.full_mask)) | 1 << v) >> v << v
     branch = solvers._partition_branch(g, PieceKind.SP_ANY)[1]
     assert list(branch(u, False)) == by_size(
-        m for m in brute_pieces(g, PieceKind.SP_ANY) if m & -m == 1 << v and m & u == m)
+        m for m in least[PieceKind.SP_ANY][v] if m & u == m)
 
 
 def test_pieces_at_lists_stars_by_size_and_paths_unsized():
@@ -337,7 +339,7 @@ def test_pieces_at_lists_stars_by_size_and_paths_unsized():
                        (PieceKind.SP_ANY, 2), (PieceKind.PATH, 2),
                        (PieceKind.ISOMETRIC_PATH, 1), ("star", 2)):
         with pytest.raises(ValueError):
-            pieces_at(g, g.full_mask, 0, kind, size)
+            pieces_at(g, 0, kind, size)
 
 
 def test_tracer_binds_solver_and_suite_names(tracing):
@@ -729,10 +731,10 @@ def test_one_graph_walks_each_maximal_path_once(monkeypatch):
     g = gen.random_connected(12, 0.3, random.Random(4))
     real, walks = solvers._paths_at, []
 
-    def counted(h, within, v, ring, maximal):
+    def counted(h, v, ring, maximal):
         if ring is None and maximal:
             walks.append(v)
-        return real(h, within, v, ring, maximal)
+        return real(h, v, ring, maximal)
 
     monkeypatch.setattr(solvers, "_paths_at", counted)
     solve_all(g)
@@ -809,8 +811,7 @@ def test_budgeted_search_matches_naive(g):
 @given(small_graphs(max_order=9))
 def test_one_piece_branch_is_the_first_candidate_that_holds_u(g):
     for kind in PieceKind:
-        branch = solvers._cover_branch(g.order, enumerate_maximal_pieces(g, kind),
-                                       g.components)
+        branch = solvers._cover_branch(g, enumerate_maximal_pieces(g, kind))
         for u in range(1, g.full_mask + 1):
             holding = [m for m in branch(u, False) if m & u == u]
             assert branch(u, True) == holding[:1], (kind, u)
