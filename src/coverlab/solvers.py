@@ -50,19 +50,20 @@ class PieceCertificate(NamedTuple):
 T = TypeVar("T")
 
 
-def _per_graph(build: Callable[[Graph], T]) -> Callable[[Graph], T]:
-    """`build(g)`, made once per graph and kept in `g.__dict__`, the store
-    of `functools.cached_property` (`Graph.rings`, `Graph.components`),
-    so it lives exactly as long as g.  The key holds a dot, so no field
-    or attribute can clash with it.  Every later call returns the same
-    object, so `build` returns an immutable one."""
+def _per_graph(build: Callable[..., T]) -> Callable[..., T]:
+    """`build(g, *rest)`, made once per graph and kept in `g.__dict__`,
+    the store of `functools.cached_property` (`Graph.rings`,
+    `Graph.components`), so it lives exactly as long as g.  The key holds
+    a dot, so no field or attribute can clash with it.  Every later call
+    returns the same object, so `build` returns an immutable one; `rest`
+    reaches `build` only on the call that makes it."""
     key = f"solvers.{build.__name__}"
 
     @wraps(build)
-    def shared(g: Graph) -> T:
+    def shared(g: Graph, *rest) -> T:
         held = g.__dict__
         if key not in held:
-            held[key] = build(g)
+            held[key] = build(g, *rest)
         return held[key]
     shared.key = key
     return shared
@@ -259,22 +260,61 @@ def _maximal_paths(g: Graph) -> tuple[int, ...]:
     return tuple(m for v in range(g.order) for m in _paths_at(g, v, None, True))
 
 
+def _longest_at(g: Graph, v: int, best: int) -> int:
+    """The order of a longest induced path whose least vertex is v, or
+    `best` if that is more: the walk of `_paths_at(g, v, None, False)`,
+    listing nothing, that drops a path once it cannot beat the best.  A
+    path with ends l and r can only ever take the vertices of V>=v that
+    are outside it, unseen by `inner` and not seen by both l and r: any
+    other vertex would see two vertices of the longer path."""
+    adj, within = g.adj, g.full_mask >> v << v
+    best = max(best, 1)
+    stack = [(w, v, 1 << v | 1 << w, 0, w) for w in bits(adj[v] & within)]
+    while stack:
+        l, r, mask, inner, a = stack.pop()
+        size = mask.bit_count()
+        free = within & ~(mask | inner | adj[l] & adj[r])
+        if size + free.bit_count() <= best:
+            continue
+        best = max(best, size)
+        grow_r = adj[r] & free
+        if r == v:  # no right arm yet: grow the left one, or start one above a
+            ext, grown = adj[l] & free, inner | adj[l]
+            while ext:
+                low = ext & -ext
+                stack.append((low.bit_length() - 1, r, mask | low, grown, a))
+                ext ^= low
+            grow_r &= ~((2 << a) - 1)
+        ext, grown = grow_r, inner | adj[r]
+        while ext:
+            low = ext & -ext
+            stack.append((l, low.bit_length() - 1, mask | low, grown, a))
+            ext ^= low
+    return best
+
+
 @_per_graph
-def _longest_path(g: Graph) -> int:
+def _longest_path(g: Graph, handed: Optional[dict[int, list[int]]] = None) -> int:
     """The order of a longest induced path, found once per graph, for
     `inpp` and `inspp` both.  It is maximal, so when g already holds its
-    maximal paths it is the largest of them.  Else: it is among the
-    maximal paths that `_paths_at` walks from its least vertex v; the
-    walks stop once no n - v vertices left could hold a longer one, and
-    are not kept."""
+    maximal paths it is the largest of them.  Else it is the longest that
+    `_longest_at` finds from its least vertex v, until no n - v vertices
+    left could hold a longer one.  Given `handed`, a component's least
+    vertex v is walked by `_paths_at(g, v, None, False)` instead, and the
+    list is left in `handed[v]`, for a partition search to take at its
+    first `pieces_at(g, v, PATH)` rather than walk it again."""
     if _maximal_paths.key in g.__dict__:
         return max(map(int.bit_count, _maximal_paths(g)), default=0)
+    roots = () if handed is None else {(c & -c).bit_length() - 1 for c in g.components}
     best = 0
     for v in range(g.order):
         if best >= g.order - v:
             break
-        maximal = _paths_at(g, v, None, True)
-        best = max([best, *map(int.bit_count, maximal)])
+        if v in roots:
+            walked = handed[v] = _paths_at(g, v, None, False)
+            best = max(best, max(map(int.bit_count, walked)))
+        else:
+            best = _longest_at(g, v, best)
     return best
 
 
@@ -331,16 +371,19 @@ def _star_masks_at(g: Graph, v: int, size: int) -> list[int]:
     return out
 
 
-def pieces_at(g: Graph, v: int, kind: PieceKind,
-              size: Optional[int] = None) -> list[int]:
+def pieces_at(g: Graph, v: int, kind: PieceKind, size: Optional[int] = None,
+              walked: Optional[list[int]] = None) -> list[int]:
     """The pieces whose least vertex is v: for `STAR`, those of `size`
     vertices, sorted by mask; for a path kind, with no `size`, all of
-    them, sorted by (-size, mask).  Any other call raises ValueError."""
+    them, sorted by (-size, mask), from `walked` if the caller already
+    holds `_paths_at`'s list of them.  Any other call raises ValueError."""
     if kind is PieceKind.STAR and size is not None:
         return sorted(_star_masks_at(g, v, size))
     if (kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH) and size is None:
-        ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
-        return _largest_first(_paths_at(g, v, ring, False))
+        if walked is None:
+            ring = g.rings if kind is PieceKind.ISOMETRIC_PATH else None
+            walked = _paths_at(g, v, ring, False)
+        return _largest_first(walked)
     raise ValueError(f"pieces_at lists stars by size and paths unsized, not "
                      f"{kind!r} with size {size!r}")
 
@@ -457,17 +500,21 @@ def _partition_branch(
     component diameter; and its branch on the least vertex v of u, whose
     pieces are those of `kind` whose least vertex is v that lie inside u.
     All nodes share v's pieces, which `_piece_classes` lists one class at
-    a time, only as far as a node reads them."""
+    a time, only as far as a node reads them.  The paths that finding the
+    longest path walked from a component's least vertex are handed to
+    that vertex's `_piece_classes`, which drops them once it has read
+    them."""
+    handed: dict[int, list[int]] = {}
     if kind is PieceKind.ISOMETRIC_PATH:
         # rings[v] holds ecc(v) + 2 rings, the last one empty; a longest
         # geodesic has one vertex more than a component's largest ecc
         max_size = max(len(ring) for ring in g.rings) - 1
     elif kind is PieceKind.PATH:
-        max_size = _longest_path(g)
+        max_size = _longest_path(g, handed)
     else:
         max_size = _largest_star(g)
         if kind is PieceKind.SP_ANY:
-            max_size = max(max_size, _longest_path(g))
+            max_size = max(max_size, _longest_path(g, handed))
     # v -> a tee of v's pieces that is never advanced: each node reads a
     # copy of it from the start (its own `__copy__` takes a sixth of the
     # time of `copy.copy`), and the first copy to read past the pieces
@@ -478,13 +525,14 @@ def _partition_branch(
         # largest first already: a node that wants one piece reads one
         v = (u & -u).bit_length() - 1
         if v not in at:
-            at[v] = tee(chain.from_iterable(_piece_classes(g, v, kind, max_size)))[0]
+            classes = _piece_classes(g, v, kind, max_size, handed)
+            at[v] = tee(chain.from_iterable(classes))[0]
         return (m for m in at[v].__copy__() if m & u == m)
     return max_size, branch
 
 
-def _piece_classes(g: Graph, v: int, kind: PieceKind,
-                   max_size: int) -> Iterator[list[int]]:
+def _piece_classes(g: Graph, v: int, kind: PieceKind, max_size: int,
+                   handed: dict[int, list[int]]) -> Iterator[list[int]]:
     """The pieces of `kind` whose least vertex is v, in classes of at
     most `max_size` vertices that follow one another in (-size, mask)
     order: a path kind's all in one.
@@ -496,10 +544,11 @@ def _piece_classes(g: Graph, v: int, kind: PieceKind,
     least vertex is v has its centre in N[v], so its order is at most
     one more than the most neighbours such a centre has in V>=v.  The
     paths are walked in one `pieces_at` call, made when the first class
-    no longer than a longest induced path is read.
+    no longer than a longest induced path is read, unless `handed` holds
+    v's walk: `pieces_at` then sorts that, and `handed` lets go of it.
     """
     if kind is PieceKind.PATH or kind is PieceKind.ISOMETRIC_PATH:
-        yield pieces_at(g, v, kind)
+        yield pieces_at(g, v, kind, walked=handed.pop(v, None))
         return
     within = g.full_mask >> v << v
     longest_path = max(_longest_path(g), 3) if kind is PieceKind.SP_ANY else 0
@@ -509,7 +558,7 @@ def _piece_classes(g: Graph, v: int, kind: PieceKind,
     for k in range(max(top, longest_path), 0, -1):
         if k <= longest_path and paths is None:
             paths = {}
-            for m in pieces_at(g, v, PieceKind.PATH):
+            for m in pieces_at(g, v, PieceKind.PATH, walked=handed.pop(v, None)):
                 paths.setdefault(m.bit_count(), []).append(m)
         if paths is not None and k <= 3:
             # stars of up to three vertices are paths: list the rest at once
@@ -577,17 +626,23 @@ def invariant_value(g: Graph, name: str, *,
 
 
 def validate_certificate(g: Graph, cert: PieceCertificate) -> bool:
-    """Is cert a cover or partition of V(G) by pieces of its kind?  A
-    mode other than "cover" or "partition", a kind that is no PieceKind,
-    or a piece of the wrong shape or with a vertex that is not an int of
-    V(G), gives False; an empty piece raises EmptyPiece."""
+    """Is cert a cover or partition of V(G) by pieces of its kind, with a
+    lower bound it does not contradict?  A mode other than "cover" or
+    "partition", a kind that is no PieceKind, a lower bound that is no
+    int in 0..value, or a piece of the wrong shape, with a vertex that
+    is not an int of V(G) or with a vertex named twice, gives False; an
+    empty piece raises EmptyPiece."""
     if cert.mode not in ("cover", "partition") or not isinstance(cert.kind, PieceKind):
+        return False
+    if not isinstance(cert.lower_bound, int) or not 0 <= cert.lower_bound <= cert.value:
         return False
     for v in chain.from_iterable(cert.pieces):
         if not isinstance(v, int) or not 0 <= v < g.order:
             return False  # before `mask_of` shifts 1 by it
-    return certificate_fault(g, g.full_mask, cert.kind, cert.mode,
-                             map(mask_of, cert.pieces)) is None
+    masks = list(map(mask_of, cert.pieces))
+    if any(m.bit_count() != len(piece) for m, piece in zip(masks, cert.pieces)):
+        return False
+    return certificate_fault(g, g.full_mask, cert.kind, cert.mode, masks) is None
 
 
 # -- classical subroutines ---------------------------------------------

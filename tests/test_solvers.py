@@ -108,6 +108,16 @@ def test_validate_certificate_negative():
         star = PieceCertificate("star", "cover", pieces, False, 1)
         assert not validate_certificate(p3, star)
         assert validate_certificate(p3, star._replace(kind=PieceKind.SP_ANY))
+    # a certificate that contradicts itself: a lower bound that is no int
+    # in 0..value, or a piece that names a vertex twice
+    whole = PieceCertificate(PieceKind.PATH, "partition", ((0, 1, 2),), True, 1)
+    assert validate_certificate(p3, whole)
+    for lower_bound in (5, 2, -1, 1.0, None):
+        assert not validate_certificate(p3, whole._replace(lower_bound=lower_bound))
+    assert not validate_certificate(p3, whole._replace(pieces=((0, 1, 1, 2),)))
+    twice = PieceCertificate(PieceKind.STAR, "cover", ((0, 1, 2, 3, 3),), False, 1)
+    assert not validate_certificate(gen.star(3), twice)
+    assert validate_certificate(gen.star(3), twice._replace(pieces=((0, 1, 2, 3),)))
 
 
 def test_nan_timeout_is_rejected():
@@ -674,6 +684,63 @@ def test_longest_path_matches_brute_force(g):
     # the largest piece size of a path partition's bound
     longest = max(m.bit_count() for m in brute_pieces(g, PieceKind.PATH))
     assert solvers._longest_path(g) == longest
+    # with the roots' walks handed over, as a partition solve asks for it
+    assert solvers._longest_path(Graph(g.order, g.adj), {}) == longest
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(7, [(i, i + 1) for i in range(1, 6)]),
+    build_graph(8, [(0, 1), (0, 2), (1, 2)] + [(i, i + 1) for i in range(3, 7)]),
+    build_graph(7, [(0, 3)] + [(i, i + 1) for i in range(1, 6)]),
+], ids=["isolated-0-and-P6", "K3-and-P5", "P6-with-pendant-0"])
+def test_longest_path_off_vertex_0(g):
+    # the longest path avoids vertex 0, so a walk from another vertex
+    # must find it; in the last graph that is a bounded walk even when
+    # the roots' walks are handed over, as its least vertex 1 is no root
+    longest = max(m.bit_count() for m in brute_pieces(g, PieceKind.PATH))
+    handed = {}
+    assert solvers._longest_path(g, handed) == longest
+    roots = [(c & -c).bit_length() - 1 for c in g.components]
+    assert handed == {v: solvers._paths_at(g, v, None, False) for v in roots}
+    assert solvers._longest_path(Graph(g.order, g.adj)) == longest
+
+
+@pytest.mark.parametrize("name", ["inpp", "inspp"])
+def test_partition_walks_its_roots_paths_once(monkeypatch, name):
+    # finding the longest path walks every path from vertex 0, the root,
+    # and hands the list to the search's first pieces_at(g, 0, PATH)
+    g = gen.random_connected(12, 0.3, random.Random(4))
+    walks, returned = [], []
+    real_walk, real_pieces = solvers._paths_at, solvers.pieces_at
+
+    def walked(h, v, ring, maximal):
+        walks.append((v, ring, maximal))
+        return real_walk(h, v, ring, maximal)
+
+    def counted(*args, **kwargs):
+        out = real_pieces(*args, **kwargs)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(solvers, "_paths_at", walked)
+    monkeypatch.setattr(solvers, "pieces_at", counted)
+    cert = invariant_value(g, name)
+    assert cert.optimal and validate_certificate(g, cert)
+    assert [w for w in walks if w[0] == 0] == [(0, None, False)]
+    # the same pieces_at calls and lengths as with no hand-over
+    assert (len(returned), sum(returned)) == {"inpp": (9, 154), "inspp": (26, 219)}[name]
+
+
+@pytest.mark.parametrize("kind", [PieceKind.PATH, PieceKind.SP_ANY])
+def test_partition_keeps_no_path_list(kind):
+    # K_1,5 plus isolated vertices: inspp answers the star at its root
+    # and never reads the paths handed over from vertex 0
+    for g in (gen.random_connected(12, 0.3, random.Random(4)),
+              build_graph(9, [(0, i) for i in range(1, 6)])):
+        min_partition(g, kind)
+        kept = {key: value for key, value in g.__dict__.items()
+                if key.startswith("solvers.") or isinstance(value, (list, dict))}
+        assert all(type(value) is int for value in kept.values()), kept
 
 
 def star_centre_last(k):
