@@ -220,7 +220,9 @@ def _paths_at(g: Graph, v: int,
     neighbours of the vertices between the ends.  An isometric path of k
     vertices grows at l by a neighbour at distance k from r.  A path
     lies in a larger one of its kind only as a contiguous segment, so it
-    is maximal when it grows at neither end in g.
+    is maximal when it grows at neither end in g.  `_longest_at` walks
+    the ring-free paths the same way, listing nothing: the two walks
+    must grow paths identically.
     """
     adj, within = g.adj, g.full_mask >> v << v
     out = [] if maximal and adj[v] else [1 << v]
@@ -266,7 +268,9 @@ def _longest_at(g: Graph, v: int, best: int) -> int:
     listing nothing, that drops a path once it cannot beat the best.  A
     path with ends l and r can only ever take the vertices of V>=v that
     are outside it, unseen by `inner` and not seen by both l and r: any
-    other vertex would see two vertices of the longer path."""
+    other vertex would see two vertices of the longer path.  It must grow
+    paths exactly as `_paths_at` does: a change to one walk's growth is
+    a change to the other's."""
     adj, within = g.adj, g.full_mask >> v << v
     best = max(best, 1)
     stack = [(w, v, 1 << v | 1 << w, 0, w) for w in bits(adj[v] & within)]
@@ -294,18 +298,18 @@ def _longest_at(g: Graph, v: int, best: int) -> int:
 
 
 @_per_graph
-def _longest_path(g: Graph, handed: Optional[dict[int, list[int]]] = None) -> int:
+def _longest_path(g: Graph, handed: dict[int, list[int]]) -> int:
     """The order of a longest induced path, found once per graph, for
     `inpp` and `inspp` both.  It is maximal, so when g already holds its
-    maximal paths it is the largest of them.  Else it is the longest that
-    `_longest_at` finds from its least vertex v, until no n - v vertices
-    left could hold a longer one.  Given `handed`, a component's least
-    vertex v is walked by `_paths_at(g, v, None, False)` instead, and the
-    list is left in `handed[v]`, for a partition search to take at its
-    first `pieces_at(g, v, PATH)` rather than walk it again."""
+    maximal paths it is the largest of them.  Else it is found from its
+    least vertex v, until no n - v vertices left could hold a longer
+    one.  A component's least vertex v is walked by `_paths_at(g, v,
+    None, False)`, and the list is left in `handed[v]`, for a partition
+    search to take at its first `pieces_at(g, v, PATH)` rather than walk
+    it again; every other v by `_longest_at`, which lists nothing."""
     if _maximal_paths.key in g.__dict__:
         return max(map(int.bit_count, _maximal_paths(g)), default=0)
-    roots = () if handed is None else {(c & -c).bit_length() - 1 for c in g.components}
+    roots = {(c & -c).bit_length() - 1 for c in g.components}
     best = 0
     for v in range(g.order):
         if best >= g.order - v:
@@ -551,7 +555,7 @@ def _piece_classes(g: Graph, v: int, kind: PieceKind, max_size: int,
         yield pieces_at(g, v, kind, walked=handed.pop(v, None))
         return
     within = g.full_mask >> v << v
-    longest_path = max(_longest_path(g), 3) if kind is PieceKind.SP_ANY else 0
+    longest_path = max(_longest_path(g, handed), 3) if kind is PieceKind.SP_ANY else 0
     top = min(max_size, 1 + max((g.adj[c] & within).bit_count()
                                 for c in bits(within & (g.adj[v] | 1 << v))))
     paths: Optional[dict[int, list[int]]] = None

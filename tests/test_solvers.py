@@ -682,10 +682,16 @@ def test_largest_star_matches_brute_force_random(g):
 @given(small_graphs())
 def test_longest_path_matches_brute_force(g):
     # the largest piece size of a path partition's bound
-    longest = max(m.bit_count() for m in brute_pieces(g, PieceKind.PATH))
-    assert solvers._longest_path(g) == longest
-    # with the roots' walks handed over, as a partition solve asks for it
-    assert solvers._longest_path(Graph(g.order, g.adj), {}) == longest
+    pieces = brute_pieces(g, PieceKind.PATH)
+    assert solvers._longest_path(g, {}) == max(m.bit_count() for m in pieces)
+    # the bounded walk from each v, whatever best it starts from, finds
+    # the longest path whose least vertex is v: the walk from a root is
+    # the listing one, and a bounded walk that grew a path other than
+    # `_paths_at` does would miss one here
+    for v in range(g.order):
+        longest_at = max(m.bit_count() for m in pieces if m & -m == 1 << v)
+        for best in range(g.order + 1):
+            assert solvers._longest_at(g, v, best) == max(best, longest_at), (v, best)
 
 
 @pytest.mark.parametrize("g", [
@@ -695,14 +701,13 @@ def test_longest_path_matches_brute_force(g):
 ], ids=["isolated-0-and-P6", "K3-and-P5", "P6-with-pendant-0"])
 def test_longest_path_off_vertex_0(g):
     # the longest path avoids vertex 0, so a walk from another vertex
-    # must find it; in the last graph that is a bounded walk even when
-    # the roots' walks are handed over, as its least vertex 1 is no root
+    # must find it; in the last graph that is a bounded walk, as its
+    # least vertex 1 is no component's least vertex
     longest = max(m.bit_count() for m in brute_pieces(g, PieceKind.PATH))
     handed = {}
     assert solvers._longest_path(g, handed) == longest
     roots = [(c & -c).bit_length() - 1 for c in g.components]
     assert handed == {v: solvers._paths_at(g, v, None, False) for v in roots}
-    assert solvers._longest_path(Graph(g.order, g.adj)) == longest
 
 
 @pytest.mark.parametrize("name", ["inpp", "inspp"])
